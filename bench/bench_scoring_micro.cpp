@@ -1,12 +1,11 @@
 // Google-benchmark microbenchmarks of the real host scoring paths: the
-// reference loop, the cache-blocked (tiled) loop at several tile sizes, the
-// Coulomb extension, the batched engine (scalar and SIMD), the grid scorer,
-// and the end-to-end engine generation.  These measure real wall-clock on
-// the build host (not virtual time) — they are how the CPU-side
-// implementation itself is kept honest.
+// reference loop, the Coulomb extension, the batched engine (scalar and
+// SIMD), the grid scorer, and the end-to-end engine generation.  These
+// measure real wall-clock on the build host (not virtual time) — they are
+// how the CPU-side implementation itself is kept honest.
 //
 // Besides the google-benchmark mode, `--emit-json=PATH` runs a fixed
-// comparison of the four LJ implementations at 2BSM scale (3264 x 45) and
+// comparison of the LJ implementations at 2BSM scale (3264 x 45) and
 // writes a schema-versioned JSON summary — the generator of the repo's
 // BENCH_scoring.json (see README).  `--emit-min-seconds=S` shrinks the
 // per-implementation measurement window for smoke tests.
@@ -85,50 +84,18 @@ void BM_ScoreReference(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreReference)->Arg(512)->Arg(3264)->Arg(8609);
 
-void BM_ScoreTiled(benchmark::State& state) {
-  const auto r_atoms = static_cast<std::size_t>(state.range(0));
-  scoring::ScoringOptions opt;
-  opt.tile_size = static_cast<int>(state.range(1));
-  const scoring::LennardJonesScorer scorer(receptor(r_atoms), ligand(), opt);
-  const scoring::Pose pose = sample_pose(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score_tiled(pose));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreTiled)
-    ->Args({3264, 64})
-    ->Args({3264, 256})
-    ->Args({3264, 1024})
-    ->Args({8609, 256});
-
 void BM_ScoreWithCoulomb(benchmark::State& state) {
   scoring::ScoringOptions opt;
   opt.coulomb = true;
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand(), opt);
   const scoring::Pose pose = sample_pose(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score_tiled(pose));
+    benchmark::DoNotOptimize(scorer.score(pose));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scorer.pairs_per_eval()));
 }
 BENCHMARK(BM_ScoreWithCoulomb);
-
-void BM_ScoreBatch(benchmark::State& state) {
-  const scoring::LennardJonesScorer scorer(receptor(3264), ligand());
-  std::vector<scoring::Pose> poses;
-  for (int i = 0; i < 32; ++i) poses.push_back(sample_pose(static_cast<std::uint64_t>(i)));
-  std::vector<double> out(poses.size());
-  for (auto _ : state) {
-    scorer.score_batch(poses, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32 *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreBatch);
 
 void BM_BatchEngine(benchmark::State& state) {
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand());
@@ -184,14 +151,14 @@ void BM_EngineGeneration(benchmark::State& state) {
   params.generations = 1;
   const meta::MetaheuristicEngine engine(params);
   for (auto _ : state) {
-    meta::DirectEvaluator eval(scorer);
+    meta::BatchedEvaluator eval(scorer);
     benchmark::DoNotOptimize(engine.run(problem, eval));
   }
 }
 BENCHMARK(BM_EngineGeneration);
 
 // ---------------------------------------------------------------------------
-// --emit-json: fixed four-way LJ comparison at 2BSM scale
+// --emit-json: fixed LJ implementation comparison at 2BSM scale
 
 struct EmitResult {
   std::string impl;
@@ -409,19 +376,13 @@ int emit_json(const std::string& path, double min_seconds) {
                                         }
                                       },
                                       pairs_per_call, min_seconds)});
-  results.push_back({"tiled", measure_pairs_per_second(
-                                  [&] {
-                                    for (std::size_t i = 0; i < kPoses; ++i) {
-                                      out[i] = scorer.score_tiled(poses[i]);
-                                    }
-                                  },
-                                  pairs_per_call, min_seconds)});
   scoring::BatchEngineOptions scalar_opt;
   scalar_opt.simd = scoring::SimdLevel::kScalar;
   const scoring::BatchScoringEngine scalar(scorer, scalar_opt);
   results.push_back({"batched-scalar",
                      measure_pairs_per_second([&] { scalar.score_batch(poses, out); },
                                               pairs_per_call, min_seconds)});
+  const double scalar_pps = results.back().pairs_per_second;
   if (scoring::simd_kernel_supported()) {
     scoring::BatchEngineOptions simd_opt;
     simd_opt.simd = scoring::SimdLevel::kAvx2;
@@ -430,27 +391,13 @@ int emit_json(const std::string& path, double min_seconds) {
                        measure_pairs_per_second([&] { simd.score_batch(poses, out); },
                                                 pairs_per_call, min_seconds)});
   }
-  if (scoring::avx512_kernel_supported()) {
-    scoring::BatchEngineOptions avx512_opt;
-    avx512_opt.simd = scoring::SimdLevel::kAvx512;
-    const scoring::BatchScoringEngine wide(scorer, avx512_opt);
-    results.push_back({"batched-avx512",
-                       measure_pairs_per_second([&] { wide.score_batch(poses, out); },
-                                                pairs_per_call, min_seconds)});
-  }
 
-  double tiled_pps = 0.0;
-  for (const EmitResult& r : results) {
-    if (r.impl == "tiled") tiled_pps = r.pairs_per_second;
-  }
-
-  // End-to-end generation throughput: the same M1 engine run under four
+  // End-to-end generation throughput: the same M1 engine run under three
   // evaluator configurations.  "batched-aos" is the pre-SoA/pre-cache
   // configuration (AoS repack + AVX2 when available) and is the speedup
-  // baseline; "batched-soa" adds the columnar population and the widest
-  // supported kernel; "batched-soa-cache" adds a warm score cache (seeded
-  // runs revisit identical conformations, so the steady-state workload is
-  // cache hits).
+  // baseline; "batched-soa" adds the columnar population; "batched-soa-cache"
+  // adds a warm score cache (seeded runs revisit identical conformations,
+  // so the steady-state workload is cache hits).
   mol::ReceptorParams grp;
   grp.atom_count = 512;
   const mol::Molecule gen_receptor = mol::make_receptor(grp);
@@ -463,20 +410,12 @@ int emit_json(const std::string& path, double min_seconds) {
   const meta::MetaheuristicEngine gen_engine(gen_params);
   const scoring::LennardJonesScorer gen_scorer(gen_receptor, ligand());
 
-  scoring::BatchEngineOptions aos_opt;
-  aos_opt.simd = scoring::simd_kernel_supported() ? scoring::SimdLevel::kAvx2
-                                                  : scoring::SimdLevel::kScalar;
+  const scoring::BatchEngineOptions aos_opt;
   scoring::ScoreCacheOptions cache_opt;
   cache_opt.capacity = std::size_t{1} << 17;
   scoring::ScoreCache gen_cache(cache_opt);
 
   std::vector<GenerationResult> gen_results;
-  gen_results.push_back(
-      {"tiled-aos",
-       measure_generation_eps(
-           gen_engine, gen_problem,
-           [&] { return std::make_unique<meta::DirectEvaluator>(gen_scorer); }, min_seconds),
-       false, 0, 0});
   gen_results.push_back(
       {"batched-aos",
        measure_generation_eps(
@@ -509,7 +448,7 @@ int emit_json(const std::string& path, double min_seconds) {
 
   util::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("metadock.bench_scoring/3");
+  w.key("schema").value("metadock.bench_scoring/4");
   w.key("dataset").begin_object();
   w.key("name").value("2BSM-scale synthetic");
   w.key("receptor_atoms").value(std::uint64_t{3264});
@@ -519,8 +458,6 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("simd").begin_object();
   w.key("kernel_compiled").value(scoring::simd_kernel_compiled());
   w.key("kernel_supported").value(scoring::simd_kernel_supported());
-  w.key("avx512_compiled").value(scoring::avx512_kernel_compiled());
-  w.key("avx512_supported").value(scoring::avx512_kernel_supported());
   w.key("default_level").value(std::string(scoring::simd_level_name(scoring::default_simd_level())));
   w.end_object();
   w.key("config").begin_object();
@@ -534,7 +471,8 @@ int emit_json(const std::string& path, double min_seconds) {
     w.begin_object();
     w.key("impl").value(r.impl);
     w.key("pairs_per_second").value(r.pairs_per_second);
-    w.key("speedup_vs_tiled").value(tiled_pps > 0.0 ? r.pairs_per_second / tiled_pps : 0.0);
+    w.key("speedup_vs_scalar")
+        .value(scalar_pps > 0.0 ? r.pairs_per_second / scalar_pps : 0.0);
     w.end_object();
   }
   w.end_array();
@@ -574,8 +512,8 @@ int emit_json(const std::string& path, double min_seconds) {
   file << w.str() << '\n';
   std::printf("wrote %s\n", path.c_str());
   for (const EmitResult& r : results) {
-    std::printf("  %-15s %.3e pairs/s (%.2fx vs tiled)\n", r.impl.c_str(), r.pairs_per_second,
-                tiled_pps > 0.0 ? r.pairs_per_second / tiled_pps : 0.0);
+    std::printf("  %-15s %.3e pairs/s (%.2fx vs batched-scalar)\n", r.impl.c_str(),
+                r.pairs_per_second, scalar_pps > 0.0 ? r.pairs_per_second / scalar_pps : 0.0);
   }
   for (const GenerationResult& r : gen_results) {
     std::printf("  gen %-17s %.3e evals/s (%.2fx vs batched-aos)\n", r.mode.c_str(),

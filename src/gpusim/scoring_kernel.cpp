@@ -8,21 +8,27 @@
 
 namespace metadock::gpusim {
 
+namespace {
+
+scoring::BatchEngineOptions engine_options(const ScoringKernelOptions& options) {
+  if (options.warps_per_block <= 0 || options.tile_atoms <= 0) {
+    throw std::invalid_argument("DeviceScoringKernel: bad options");
+  }
+  scoring::BatchEngineOptions be;
+  be.pose_block = options.warps_per_block;
+  be.simd = scoring::simd_level_for(options.impl);
+  return be;
+}
+
+}  // namespace
+
 DeviceScoringKernel::DeviceScoringKernel(Device& device,
                                          const scoring::LennardJonesScorer& scorer,
                                          ScoringKernelOptions options)
-    : device_(device), scorer_(scorer), options_(options) {
-  if (options_.warps_per_block <= 0 || options_.tile_atoms <= 0) {
-    throw std::invalid_argument("DeviceScoringKernel: bad options");
-  }
-  const scoring::ScoringImpl impl = scoring::resolve_scoring_impl(options_.impl);
-  if (impl != scoring::ScoringImpl::kTiled) {
-    scoring::BatchEngineOptions be;
-    be.pose_block = options_.warps_per_block;
-    be.simd = impl == scoring::ScoringImpl::kBatchedSimd ? options_.simd_level
-                                                         : scoring::SimdLevel::kScalar;
-    batch_.emplace(scorer_, be);
-  }
+    : device_(device),
+      scorer_(scorer),
+      options_(options),
+      batch_(scorer, engine_options(options)) {
   // Initial molecule allocation + upload: receptor and ligand
   // coordinate/type payloads live on the device for the kernel's lifetime.
   const double molecule_bytes =
@@ -106,16 +112,10 @@ void DeviceScoringKernel::launch_scoring(std::span<const scoring::Pose> poses,
   device_.launch(launch, cost(poses.size()), [&](std::int64_t block) {
     const std::size_t lo = static_cast<std::size_t>(block) * wpb;
     const std::size_t hi = std::min(poses.size(), lo + wpb);
-    if (batch_.has_value()) {
-      // One block of warps = one pose block: the engine transforms the
-      // block's poses once and streams each receptor tile through all of
-      // them, like the shared-memory tile shared by the block's warps.
-      batch_->score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i] = scorer_.score_tiled(poses[i]);
-      }
-    }
+    // One block of warps = one pose block: the engine transforms the
+    // block's poses once and streams each receptor tile through all of
+    // them, like the shared-memory tile shared by the block's warps.
+    batch_.score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
   });
   obs::record_host_scoring(
       device_.observer(), timer.seconds(),
@@ -141,13 +141,7 @@ void DeviceScoringKernel::launch_scoring_async(int stream,
   device_.launch_async(stream, launch, cost(poses.size()), [&](std::int64_t block) {
     const std::size_t lo = static_cast<std::size_t>(block) * wpb;
     const std::size_t hi = std::min(poses.size(), lo + wpb);
-    if (batch_.has_value()) {
-      batch_->score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
-    } else {
-      for (std::size_t i = lo; i < hi; ++i) {
-        out[i] = scorer_.score_tiled(poses[i]);
-      }
-    }
+    batch_.score_batch(poses.subspan(lo, hi - lo), out.subspan(lo, hi - lo));
   });
   obs::record_host_scoring(
       device_.observer(), timer.seconds(),

@@ -8,7 +8,6 @@
 // warps it holds (the paper's "tilling implementation via shared memory").
 #pragma once
 
-#include <optional>
 #include <span>
 
 #include "gpusim/device.h"
@@ -26,13 +25,10 @@ struct ScoringKernelOptions {
   bool tiled = true;
   /// Receptor atoms per shared-memory tile.
   int tile_atoms = 256;
-  /// Host implementation doing the real numeric work behind the virtual
-  /// kernel.  kAuto picks the batched engine (SIMD when the CPU has
-  /// AVX2+FMA); kTiled is the pre-batching per-pose path.
+  /// Kernel of the batched host engine doing the real numeric work behind
+  /// the virtual kernel.  kAuto picks the AVX2 kernel when the CPU has
+  /// AVX2+FMA; kBatchedSimd without them throws at construction.
   scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto;
-  /// SIMD tier backing kBatchedSimd (`--simd-level`): the highest level
-  /// this host supports by default.  Ignored by the other impls.
-  scoring::SimdLevel simd_level = scoring::default_simd_level();
 };
 
 class DeviceScoringKernel {
@@ -98,12 +94,11 @@ class DeviceScoringKernel {
   Device& device_;
   const scoring::LennardJonesScorer& scorer_;
   ScoringKernelOptions options_;
-  /// Batched host engine backing the virtual kernel (absent when
-  /// options_.impl resolves to kTiled).  One block of warps maps to one
-  /// pose block: pose_block == warps_per_block, so the engine's receptor
-  /// sweep mirrors the shared-memory tile being reused by every warp of
-  /// the block.
-  std::optional<scoring::BatchScoringEngine> batch_;
+  /// Batched host engine backing the virtual kernel.  One block of warps
+  /// maps to one pose block: pose_block == warps_per_block, so the
+  /// engine's receptor sweep mirrors the shared-memory tile being reused
+  /// by every warp of the block.
+  scoring::BatchScoringEngine batch_;
 };
 
 }  // namespace metadock::gpusim

@@ -99,24 +99,4 @@ class BatchedEvaluator final : public Evaluator {
   std::uint64_t evals_ = 0;
 };
 
-/// Scores on the calling thread with the reference tiled path.
-class DirectEvaluator final : public Evaluator {
- public:
-  explicit DirectEvaluator(const scoring::LennardJonesScorer& scorer) : scorer_(scorer) {}
-
-  void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    scorer_.score_batch(poses, out);
-    calls_ += 1;
-    evals_ += poses.size();
-  }
-
-  [[nodiscard]] std::uint64_t calls() const noexcept { return calls_; }
-  [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
-
- private:
-  const scoring::LennardJonesScorer& scorer_;
-  std::uint64_t calls_ = 0;
-  std::uint64_t evals_ = 0;
-};
-
 }  // namespace metadock::meta

@@ -36,9 +36,8 @@ class CpuModelEvaluator final : public meta::Evaluator {
  public:
   CpuModelEvaluator(cpusim::CpuSpec spec, const scoring::LennardJonesScorer& scorer,
                     scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto,
-                    obs::Observer* observer = nullptr,
-                    scoring::SimdLevel simd_level = scoring::default_simd_level())
-      : engine_(std::move(spec), scorer, impl, simd_level) {
+                    obs::Observer* observer = nullptr)
+      : engine_(std::move(spec), scorer, impl) {
     engine_.set_observer(observer);
   }
 

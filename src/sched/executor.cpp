@@ -263,8 +263,7 @@ ExecutionReport NodeExecutor::run(const meta::DockingProblem& problem,
   report.strategy = options_.strategy;
 
   if (options_.strategy == Strategy::kCpu) {
-    CpuModelEvaluator eval(node_.cpu, scorer, options_.kernel.impl, options_.observer,
-                           options_.kernel.simd_level);
+    CpuModelEvaluator eval(node_.cpu, scorer, options_.kernel.impl, options_.observer);
     report.result = run_engine(eval);
     DeviceReport dr;
     dr.name = node_.cpu.name;

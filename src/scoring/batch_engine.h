@@ -1,8 +1,9 @@
-// Batched, SIMD-vectorized host scoring engine.
+// Batched, SIMD-vectorized host scoring engine — the one host scoring
+// path behind every evaluator and virtual kernel.
 //
-// The tiled path (`LennardJonesScorer::score_tiled`) still re-streams the
-// whole receptor once per pose and cannot vectorize its inner loop because
-// of the per-atom `PairCoeff` gather (`row[rtype[i]]`).  This engine
+// The reference loop (`LennardJonesScorer::score`) re-streams the whole
+// receptor once per pose and cannot vectorize its inner loop because of
+// the per-atom `PairCoeff` gather (`row[rtype[i]]`).  This engine
 // restructures the hot loop along two axes:
 //
 //   1. Pose-blocked x receptor-tiled traversal: `score_batch` transforms a
@@ -21,8 +22,8 @@
 // AVX2/FMA one (compiled when METADOCK_SIMD is ON and the target is
 // x86-64; dispatched at runtime via cpuid).  Both traverse runs in the
 // same order and accumulate per-pair float terms into double, so they
-// agree with each other — and with score()/score_tiled() — up to FP
-// association order (the equivalence property tests pin this down).
+// agree with each other — and with score() — up to FP association order
+// (the equivalence property tests pin this down).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace metadock::scoring {
 // ---------------------------------------------------------------------------
 // SIMD capability / implementation selection
 
-enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
+enum class SimdLevel : std::uint8_t { kScalar, kAvx2 };
 
 /// True when the AVX2/FMA kernel was compiled into this binary
 /// (METADOCK_SIMD=ON on an x86-64 target).
@@ -49,15 +50,7 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
 /// supports AVX2+FMA (runtime cpuid dispatch).
 [[nodiscard]] bool simd_kernel_supported() noexcept;
 
-/// True when the AVX-512 kernel was compiled into this binary (requires
-/// METADOCK_SIMD=ON, an x86-64 target and a compiler accepting -mavx512f).
-[[nodiscard]] bool avx512_kernel_compiled() noexcept;
-
-/// True when the AVX-512 kernel is compiled *and* the CPU supports
-/// AVX-512F (runtime cpuid dispatch; the kernel uses only the F subset).
-[[nodiscard]] bool avx512_kernel_supported() noexcept;
-
-/// Highest level this host can actually run: kAvx512 > kAvx2 > kScalar.
+/// Fastest level this host can run: kAvx2 when supported, else kScalar.
 /// The scalar kernel is always present — dispatch can never come up empty.
 [[nodiscard]] SimdLevel default_simd_level() noexcept;
 
@@ -66,21 +59,15 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2, kAvx512 };
 /// True when `level` can execute on this host (kScalar always can).
 [[nodiscard]] bool simd_level_supported(SimdLevel level) noexcept;
 
-/// Parses "scalar" | "avx2" | "avx512" | "auto" (auto resolves to
-/// default_simd_level()); throws std::invalid_argument otherwise.  Does
-/// NOT check host support — BatchScoringEngine validates at construction.
-[[nodiscard]] SimdLevel simd_level_from(std::string_view name);
-
 /// Host scoring implementation used behind the evaluators / the virtual
 /// kernels (`--scoring-impl` on the CLI):
-///   kTiled       — the per-pose cache-blocked loop (previous behaviour),
-///   kBatched     — pose-blocked + type-partitioned, scalar kernel,
-///   kBatchedSimd — pose-blocked + type-partitioned, AVX2/FMA kernel,
+///   kBatched     — the batched engine on the scalar kernel,
+///   kBatchedSimd — the batched engine on the AVX2/FMA kernel,
 ///   kAuto        — kBatchedSimd when the CPU supports it, else kBatched.
-enum class ScoringImpl : std::uint8_t { kAuto, kTiled, kBatched, kBatchedSimd };
+enum class ScoringImpl : std::uint8_t { kAuto, kBatched, kBatchedSimd };
 
-/// Parses "auto" | "tiled" | "batched" (alias "batched-scalar") |
-/// "batched-simd"; throws std::invalid_argument otherwise.
+/// Parses "auto" | "batched-scalar" (alias "batched") | "batched-simd";
+/// throws std::invalid_argument otherwise.
 [[nodiscard]] ScoringImpl scoring_impl_from(std::string_view name);
 
 /// Resolves kAuto to a concrete implementation for this host:
@@ -89,6 +76,13 @@ enum class ScoringImpl : std::uint8_t { kAuto, kTiled, kBatched, kBatchedSimd };
 [[nodiscard]] ScoringImpl resolve_scoring_impl(ScoringImpl impl) noexcept;
 
 [[nodiscard]] std::string_view scoring_impl_name(ScoringImpl impl) noexcept;
+
+/// The one ScoringImpl -> kernel mapping: kBatched runs the scalar
+/// kernel, kBatchedSimd the AVX2/FMA one, kAuto whichever
+/// resolve_scoring_impl() picks.  Throws std::invalid_argument for
+/// kBatchedSimd on a host or build without AVX2/FMA — an explicit request
+/// is refused, never silently run on the scalar kernel.
+[[nodiscard]] SimdLevel simd_level_for(ScoringImpl impl);
 
 // ---------------------------------------------------------------------------
 // Type-partitioned receptor layout
@@ -105,7 +99,7 @@ struct TypeRun {
 /// inside each tile.  Tile boundaries match the unpartitioned layout (atom
 /// `i` stays in tile `i / tile_size`); only the order *within* a tile
 /// changes, and the permutation is stable per element, so the energy sum
-/// differs from the tiled path only by FP association order.
+/// differs from the reference loop only by FP association order.
 struct PartitionedReceptor {
   std::vector<float> x, y, z, charge;
   std::vector<std::uint8_t> type;
@@ -132,7 +126,7 @@ struct BatchEngineOptions {
   /// warps-per-block).  Each pose costs lig_n * 12 bytes of scratch.
   int pose_block = 16;
   /// Kernel to run; construction throws when kAvx2 is requested on a host
-  /// without AVX2/FMA (use default_simd_level() to auto-detect).
+  /// without AVX2/FMA (simd_level_for() maps a ScoringImpl onto this).
   SimdLevel simd = default_simd_level();
 };
 
@@ -210,10 +204,6 @@ void score_block_tile_scalar(const BlockKernelArgs& args);
 /// Explicit AVX2/FMA kernel; calling it when !simd_kernel_compiled() is a
 /// logic error (std::terminate via the stub).
 void score_block_tile_avx2(const BlockKernelArgs& args);
-
-/// Explicit AVX-512F kernel (16 lanes); calling it when
-/// !avx512_kernel_compiled() is a logic error (std::terminate via the stub).
-void score_block_tile_avx512(const BlockKernelArgs& args);
 
 }  // namespace detail
 

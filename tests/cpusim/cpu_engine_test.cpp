@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mol/synth.h"
@@ -50,23 +52,36 @@ TEST(CpuEngine, ScoresMatchDirectScorer) {
   std::vector<double> out(poses.size());
   engine.score(poses, out);
   // The default impl is the batched engine: bit-exact against it, and
-  // within FP-association distance of the per-pose tiled path.
+  // within FP-association distance of the reference loop.
   const scoring::BatchScoringEngine batched(f.scorer);
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_DOUBLE_EQ(out[i], batched.score(poses[i])) << i;
-    const double ref = f.scorer.score_tiled(poses[i]);
+    const double ref = f.scorer.score(poses[i]);
     EXPECT_NEAR(out[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
   }
 }
 
-TEST(CpuEngine, TiledImplMatchesScorerExactly) {
+TEST(CpuEngine, ExplicitImplRunsItsKernelOrThrows) {
   Fixture f;
-  CpuScoringEngine engine(xeon_e3_1220(), f.scorer, scoring::ScoringImpl::kTiled);
   const auto poses = random_poses(25);
-  std::vector<double> out(poses.size());
-  engine.score(poses, out);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i], f.scorer.score_tiled(poses[i])) << i;
+  for (const auto& [impl, simd] :
+       {std::pair{scoring::ScoringImpl::kBatched, scoring::SimdLevel::kScalar},
+        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kAvx2}}) {
+    if (!scoring::simd_level_supported(simd)) {
+      // An explicit batched-simd request is refused, never run on the
+      // scalar kernel.
+      EXPECT_THROW(CpuScoringEngine(xeon_e3_1220(), f.scorer, impl), std::invalid_argument);
+      continue;
+    }
+    CpuScoringEngine engine(xeon_e3_1220(), f.scorer, impl);
+    std::vector<double> out(poses.size());
+    engine.score(poses, out);
+    scoring::BatchEngineOptions be;
+    be.simd = simd;
+    const scoring::BatchScoringEngine batched(f.scorer, be);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_DOUBLE_EQ(out[i], batched.score(poses[i])) << scoring::scoring_impl_name(impl);
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "gpusim/device_db.h"
@@ -60,26 +62,40 @@ TEST(ScoringKernel, RealScoresMatchDirectScorer) {
   kernel.score(poses, gpu);
   // The default impl is the batched engine: bit-exact against it (per-pose
   // energies are independent of block boundaries), and within
-  // FP-association distance of the per-pose tiled path.
+  // FP-association distance of the reference loop.
   const scoring::BatchScoringEngine batched(f.scorer);
   for (std::size_t i = 0; i < poses.size(); ++i) {
     EXPECT_DOUBLE_EQ(gpu[i], batched.score(poses[i])) << i;
-    const double ref = f.scorer.score_tiled(poses[i]);
+    const double ref = f.scorer.score(poses[i]);
     EXPECT_NEAR(gpu[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
   }
 }
 
-TEST(ScoringKernel, TiledImplMatchesScorerExactly) {
+TEST(ScoringKernel, ExplicitImplRunsItsKernelOrThrows) {
   Fixture f;
   Device dev(geforce_gtx580());
-  ScoringKernelOptions opt;
-  opt.impl = scoring::ScoringImpl::kTiled;
-  DeviceScoringKernel kernel(dev, f.scorer, opt);
-  const auto poses = random_poses(37);
-  std::vector<double> gpu(poses.size());
-  kernel.score(poses, gpu);
-  for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_DOUBLE_EQ(gpu[i], f.scorer.score_tiled(poses[i])) << i;
+  const auto poses = random_poses(9);
+  for (const auto& [impl, simd] :
+       {std::pair{scoring::ScoringImpl::kBatched, scoring::SimdLevel::kScalar},
+        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kAvx2}}) {
+    ScoringKernelOptions opt;
+    opt.impl = impl;
+    if (!scoring::simd_level_supported(simd)) {
+      // An explicit batched-simd request is refused, never run on the
+      // scalar kernel.
+      EXPECT_THROW(DeviceScoringKernel(dev, f.scorer, opt), std::invalid_argument);
+      continue;
+    }
+    DeviceScoringKernel kernel(dev, f.scorer, opt);
+    std::vector<double> gpu(poses.size());
+    kernel.score(poses, gpu);
+    scoring::BatchEngineOptions be;
+    be.pose_block = opt.warps_per_block;
+    be.simd = simd;
+    const scoring::BatchScoringEngine engine(f.scorer, be);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_DOUBLE_EQ(gpu[i], engine.score(poses[i])) << scoring::scoring_impl_name(impl);
+    }
   }
 }
 

@@ -4,10 +4,20 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "geom/cell_grid.h"
 
 namespace metadock::mol {
+
+// gtest's default printer dumps a parameter's raw bytes, the pdb_id pointer
+// included, into the test name; print the fields so the names of the
+// DatasetTest cases are the same from one build to the next.
+void PrintTo(const Dataset& ds, std::ostream* os) {
+  *os << ds.pdb_id << " (" << ds.receptor_atoms << " receptor atoms, " << ds.ligand_atoms
+      << " ligand atoms)";
+}
+
 namespace {
 
 TEST(SynthReceptor, ExactAtomCount) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 
+#include "sched/evaluators.h"
 #include "testing/fixtures.h"
 
 namespace metadock::sched {
@@ -33,6 +35,30 @@ TEST(Executor, CpuStrategyRunsAndTimes) {
   EXPECT_EQ(r.devices.size(), 1u);
   EXPECT_EQ(r.result.spot_results.size(), tiny_problem().spots.size());
   EXPECT_DOUBLE_EQ(r.warmup_seconds, 0.0);
+}
+
+TEST(Executor, BatchedSimdRunsOrIsRefused) {
+  // An explicit batched-simd request runs the AVX2 kernel or fails at
+  // construction; it never falls back to the scalar kernel.
+  const bool avx2 = scoring::simd_kernel_supported();
+  const scoring::LennardJonesScorer scorer(*tiny_problem().receptor, *tiny_problem().ligand);
+  if (avx2) {
+    EXPECT_NO_THROW(CpuModelEvaluator(hertz().cpu, scorer, scoring::ScoringImpl::kBatchedSimd));
+  } else {
+    EXPECT_THROW(CpuModelEvaluator(hertz().cpu, scorer, scoring::ScoringImpl::kBatchedSimd),
+                 std::invalid_argument);
+  }
+  for (const Strategy s : {Strategy::kCpu, Strategy::kHeterogeneous}) {
+    ExecutorOptions o = with(s);
+    o.kernel.impl = scoring::ScoringImpl::kBatchedSimd;
+    NodeExecutor exec(hertz(), o);
+    if (avx2) {
+      EXPECT_NO_THROW((void)exec.run(tiny_problem(), tiny_params())) << strategy_name(s);
+    } else {
+      EXPECT_THROW((void)exec.run(tiny_problem(), tiny_params()), std::invalid_argument)
+          << strategy_name(s);
+    }
+  }
 }
 
 TEST(Executor, AllStrategiesProduceIdenticalScience) {

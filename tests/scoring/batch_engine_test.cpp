@@ -97,7 +97,7 @@ TEST(PartitionedReceptor, RunsAreTileBoundedAndTypeConstant) {
         ASSERT_GT(run.count, 0u);
         // Runs never straddle a tile boundary: the partition only permutes
         // *within* tiles, which is what keeps the batched energy within FP
-        // association distance of the tiled path.
+        // association distance of the reference loop.
         EXPECT_GE(run.begin, tile_lo);
         EXPECT_LE(run.begin + run.count, tile_hi);
         for (std::size_t i = run.begin; i < run.begin + run.count; ++i) {
@@ -189,22 +189,26 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   EXPECT_NE(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kAuto);
-  EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kTiled), ScoringImpl::kTiled);
   EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kBatched), ScoringImpl::kBatched);
+  EXPECT_EQ(simd_level_for(ScoringImpl::kBatched), SimdLevel::kScalar);
+  EXPECT_EQ(simd_level_for(ScoringImpl::kAuto), default_simd_level());
   if (simd_kernel_supported()) {
     EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kBatchedSimd);
+    EXPECT_EQ(simd_level_for(ScoringImpl::kBatchedSimd), SimdLevel::kAvx2);
   } else {
     EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kBatched);
+    // Never a silent fallback to the scalar kernel.
+    EXPECT_THROW((void)simd_level_for(ScoringImpl::kBatchedSimd), std::invalid_argument);
   }
 }
 
 TEST(BatchScoringEngine, ImplNamesRoundTrip) {
-  for (ScoringImpl impl : {ScoringImpl::kAuto, ScoringImpl::kTiled, ScoringImpl::kBatched,
-                           ScoringImpl::kBatchedSimd}) {
+  for (ScoringImpl impl : {ScoringImpl::kAuto, ScoringImpl::kBatched, ScoringImpl::kBatchedSimd}) {
     EXPECT_EQ(scoring_impl_from(scoring_impl_name(impl)), impl);
   }
   EXPECT_EQ(scoring_impl_from("batched"), ScoringImpl::kBatched);
-  EXPECT_THROW(scoring_impl_from("fancy"), std::invalid_argument);
+  EXPECT_THROW((void)scoring_impl_from("fancy"), std::invalid_argument);
+  EXPECT_THROW((void)scoring_impl_from("tiled"), std::invalid_argument);
 }
 
 TEST(BatchScoringEngine, BadOptionsThrow) {

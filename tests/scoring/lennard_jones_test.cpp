@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "mol/synth.h"
+#include "scoring/batch_engine.h"
 #include "util/rng.h"
 
 namespace metadock::scoring {
@@ -24,6 +27,14 @@ Pose random_pose(util::Xoshiro256& rng, float extent = 15.0f) {
                 static_cast<float>(rng.uniform(-extent, extent))};
   p.orientation = geom::random_quat(rng.uniformf(), rng.uniformf(), rng.uniformf());
   return p;
+}
+
+/// The batched engine on its portable scalar kernel: the production host
+/// path the reference score() is the oracle for.
+BatchScoringEngine scalar_engine(const LennardJonesScorer& scorer) {
+  BatchEngineOptions opt;
+  opt.simd = SimdLevel::kScalar;
+  return BatchScoringEngine(scorer, opt);
 }
 
 TEST(LennardJones, TwoAtomEnergyMatchesClosedForm) {
@@ -141,7 +152,7 @@ TEST(LennardJones, CutoffConsistentBetweenPaths) {
   for (int i = 0; i < 10; ++i) {
     const Pose pose = random_pose(rng);
     const double ref = scorer.score(pose);
-    EXPECT_NEAR(scorer.score_tiled(pose), ref, 1e-5 * (1.0 + std::abs(ref)));
+    EXPECT_NEAR(scalar_engine(scorer).score(pose), ref, 1e-5 * (1.0 + std::abs(ref)));
   }
 }
 
@@ -158,9 +169,11 @@ TEST(LennardJones, BatchMatchesIndividualScores) {
   std::vector<Pose> poses;
   for (int i = 0; i < 20; ++i) poses.push_back(random_pose(rng));
   std::vector<double> batch(poses.size());
-  scorer.score_batch(poses, batch);
+  const BatchScoringEngine engine = scalar_engine(scorer);
+  engine.score_batch(poses, batch);
   for (std::size_t i = 0; i < poses.size(); ++i) {
-    EXPECT_NEAR(batch[i], scorer.score_tiled(poses[i]), 1e-9);
+    const double ref = scorer.score(poses[i]);
+    EXPECT_NEAR(batch[i], ref, 1e-5 * (1.0 + std::abs(ref))) << i;
   }
 }
 
@@ -169,7 +182,7 @@ TEST(LennardJones, BatchSizeMismatchThrows) {
   const LennardJonesScorer scorer(m, m);
   std::vector<Pose> poses(3);
   std::vector<double> out(2);
-  EXPECT_THROW(scorer.score_batch(poses, out), std::invalid_argument);
+  EXPECT_THROW(scalar_engine(scorer).score_batch(poses, out), std::invalid_argument);
 }
 
 TEST(LennardJones, PairsPerEvalIsProduct) {
@@ -181,8 +194,9 @@ TEST(LennardJones, PairsPerEvalIsProduct) {
   EXPECT_EQ(scorer.pairs_per_eval(), 1000u);
 }
 
-// Property sweep: the tiled path agrees with the reference path for every
-// tile size, pose, and the Coulomb toggle.
+// Property sweep: the batched engine, whose partitioned receptor layout is
+// tiled by ScoringOptions::tile_size, agrees with the reference path for
+// every tile size, pose, and the Coulomb toggle.
 class TiledAgreement : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(TiledAgreement, TiledEqualsReference) {
@@ -203,7 +217,7 @@ TEST_P(TiledAgreement, TiledEqualsReference) {
   for (int i = 0; i < 25; ++i) {
     const Pose pose = random_pose(rng, 25.0f);
     const double ref = scorer.score(pose);
-    const double tiled = scorer.score_tiled(pose);
+    const double tiled = scalar_engine(scorer).score(pose);
     // The scoring TU builds with relaxed FP; allow for re-association.
     EXPECT_NEAR(tiled, ref, 1e-5 * (1.0 + std::abs(ref))) << "pose " << i;
   }

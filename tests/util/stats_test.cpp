@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 #include <vector>
 
@@ -94,6 +95,10 @@ struct PercentileCase {
   double p;
   double expected;
 };
+
+// Printed by name: gtest's default byte dump would put the name pointer, and so
+// an address that changes from one build to the next, into the test name.
+void PrintTo(const PercentileCase& c, std::ostream* os) { *os << c.name; }
 
 class PercentileTable : public ::testing::TestWithParam<PercentileCase> {};
 

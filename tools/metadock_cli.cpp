@@ -126,11 +126,10 @@ using namespace metadock;
                "                         scoring throughput)\n"
                "\n"
                "host scoring (dock and screen):\n"
-               "  --scoring-impl I       auto|tiled|batched-scalar|batched-simd (default\n"
-               "                         auto: the batched engine, SIMD when the CPU\n"
-               "                         supports AVX2+FMA)\n"
-               "  --simd-level L         auto|scalar|avx2|avx512 — instruction set for\n"
-               "                         batched-simd (default auto: widest supported)\n"
+               "  --scoring-impl I       auto|batched-scalar|batched-simd (default auto:\n"
+               "                         batched-simd when the CPU supports AVX2+FMA,\n"
+               "                         else batched-scalar; batched-simd without\n"
+               "                         them is an error)\n"
                "  --score-cache N        share an N-entry score cache across the run;\n"
                "                         revisited conformations skip rescoring with\n"
                "                         bit-identical results (default 0 = off)\n"
@@ -209,19 +208,15 @@ void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec
       static_cast<std::size_t>(args.get("fault-rebalance", std::int64_t{0}));
 }
 
-/// Applies --scoring-impl, --simd-level and --score-cache to the executor
-/// options.
+/// Applies --scoring-impl and --score-cache to the executor options.
 void apply_scoring_impl(const util::ArgParser& args, sched::ExecutorOptions& exec) {
   try {
     if (args.has("scoring-impl")) {
       exec.kernel.impl = scoring::scoring_impl_from(args.get("scoring-impl"));
     }
-    if (args.has("simd-level")) {
-      exec.kernel.simd_level = scoring::simd_level_from(args.get("simd-level"));
-      if (!scoring::simd_level_supported(exec.kernel.simd_level)) {
-        usage("--simd-level: this CPU/build does not support the requested level");
-      }
-    }
+    // Refuses batched-simd on a host or build without AVX2 up front, as a
+    // usage error rather than an exception from deep inside the run.
+    (void)scoring::simd_level_for(exec.kernel.impl);
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
