@@ -24,7 +24,6 @@
 #include "cpusim/cpu_engine.h"
 #include "gpusim/runtime.h"
 #include "gpusim/scoring_kernel.h"
-#include "meta/cached_evaluator.h"
 #include "meta/engine.h"
 #include "meta/evaluator.h"
 #include "mol/synth.h"
@@ -33,7 +32,6 @@
 #include "scoring/batch_engine.h"
 #include "scoring/grid_scorer.h"
 #include "scoring/lennard_jones.h"
-#include "scoring/score_cache.h"
 #include "util/json.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -207,21 +205,17 @@ class AosBatchedEvaluator final : public meta::Evaluator {
 struct GenerationResult {
   std::string mode;
   double evals_per_second = 0.0;
-  bool has_cache = false;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
 };
 
 /// Best-of-three end-to-end engine throughput (pose evaluations per second)
 /// over windows of at least `min_seconds`.  A fresh evaluator per run keeps
-/// the modes comparable; shared state that should persist between runs (the
-/// score cache) lives outside `make_eval`.
+/// the modes comparable.
 double measure_generation_eps(const meta::MetaheuristicEngine& engine,
                               const meta::DockingProblem& problem,
                               const std::function<std::unique_ptr<meta::Evaluator>()>& make_eval,
                               double min_seconds) {
   {
-    auto warm = make_eval();  // warm caches, arenas and (when present) the score cache
+    auto warm = make_eval();  // warm caches and arenas
     (void)engine.run(problem, *warm);
   }
   double best = 0.0;
@@ -392,12 +386,10 @@ int emit_json(const std::string& path, double min_seconds) {
                                                 pairs_per_call, min_seconds)});
   }
 
-  // End-to-end generation throughput: the same M1 engine run under three
-  // evaluator configurations.  "batched-aos" is the pre-SoA/pre-cache
-  // configuration (AoS repack + AVX2 when available) and is the speedup
-  // baseline; "batched-soa" adds the columnar population; "batched-soa-cache"
-  // adds a warm score cache (seeded runs revisit identical conformations,
-  // so the steady-state workload is cache hits).
+  // End-to-end generation throughput: the same M1 engine run under two
+  // evaluator configurations.  "batched-aos" is the pre-SoA configuration
+  // (AoS repack + AVX2 when available) and is the speedup baseline;
+  // "batched-soa" adds the columnar population.
   mol::ReceptorParams grp;
   grp.atom_count = 512;
   const mol::Molecule gen_receptor = mol::make_receptor(grp);
@@ -411,9 +403,6 @@ int emit_json(const std::string& path, double min_seconds) {
   const scoring::LennardJonesScorer gen_scorer(gen_receptor, ligand());
 
   const scoring::BatchEngineOptions aos_opt;
-  scoring::ScoreCacheOptions cache_opt;
-  cache_opt.capacity = std::size_t{1} << 17;
-  scoring::ScoreCache gen_cache(cache_opt);
 
   std::vector<GenerationResult> gen_results;
   gen_results.push_back(
@@ -421,26 +410,12 @@ int emit_json(const std::string& path, double min_seconds) {
        measure_generation_eps(
            gen_engine, gen_problem,
            [&] { return std::make_unique<AosBatchedEvaluator>(gen_scorer, aos_opt); },
-           min_seconds),
-       false, 0, 0});
+           min_seconds)});
   gen_results.push_back(
       {"batched-soa",
        measure_generation_eps(
            gen_engine, gen_problem,
-           [&] { return std::make_unique<meta::BatchedEvaluator>(gen_scorer); }, min_seconds),
-       false, 0, 0});
-  {
-    // The inner evaluator outlives every CachedEvaluator handed to a run.
-    meta::BatchedEvaluator gen_inner(gen_scorer);
-    const double eps = measure_generation_eps(
-        gen_engine, gen_problem,
-        [&]() -> std::unique_ptr<meta::Evaluator> {
-          return std::make_unique<meta::CachedEvaluator>(gen_inner, gen_cache);
-        },
-        min_seconds);
-    const scoring::ScoreCacheStats cs = gen_cache.stats();
-    gen_results.push_back({"batched-soa-cache", eps, true, cs.hits, cs.misses});
-  }
+           [&] { return std::make_unique<meta::BatchedEvaluator>(gen_scorer); }, min_seconds)});
   double gen_baseline = 0.0;
   for (const GenerationResult& r : gen_results) {
     if (r.mode == "batched-aos") gen_baseline = r.evals_per_second;
@@ -448,7 +423,7 @@ int emit_json(const std::string& path, double min_seconds) {
 
   util::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("metadock.bench_scoring/4");
+  w.key("schema").value("metadock.bench_scoring/5");
   w.key("dataset").begin_object();
   w.key("name").value("2BSM-scale synthetic");
   w.key("receptor_atoms").value(std::uint64_t{3264});
@@ -484,7 +459,6 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("spots").value(static_cast<std::uint64_t>(gen_problem.spots.size()));
   w.key("population_per_spot").value(static_cast<std::uint64_t>(gen_params.population_per_spot));
   w.key("generations").value(static_cast<std::uint64_t>(gen_params.generations));
-  w.key("score_cache_entries").value(static_cast<std::uint64_t>(gen_cache.stats().capacity));
   w.end_object();
   w.key("results").begin_array();
   for (const GenerationResult& r : gen_results) {
@@ -493,10 +467,6 @@ int emit_json(const std::string& path, double min_seconds) {
     w.key("evals_per_second").value(r.evals_per_second);
     w.key("speedup_vs_batched_aos")
         .value(gen_baseline > 0.0 ? r.evals_per_second / gen_baseline : 0.0);
-    if (r.has_cache) {
-      w.key("cache_hits").value(r.cache_hits);
-      w.key("cache_misses").value(r.cache_misses);
-    }
     w.end_object();
   }
   w.end_array();

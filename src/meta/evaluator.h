@@ -31,8 +31,8 @@ class Evaluator {
   /// calling thread's arena and forwards to evaluate(), so existing
   /// evaluators work unchanged; columnar back-ends (BatchedEvaluator)
   /// override it to skip the repack.  Overrides MUST score identically
-  /// to evaluate() on the same poses — the property tests compare them
-  /// bit for bit.
+  /// to evaluate() on the same poses — the batch-engine parity tests
+  /// compare the two entry points bit for bit.
   virtual void evaluate_soa(const scoring::PoseSoAView& poses, std::span<double> out) {
     util::Arena& arena = util::thread_arena();
     util::ArenaScope scope(arena);

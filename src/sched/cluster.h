@@ -143,9 +143,6 @@ struct ClusterReport {
 class ClusterSim {
  public:
   ClusterSim(std::vector<NodeConfig> nodes, ClusterOptions options = {});
-  /// Back-compat constructor (pre-event-driven call sites).
-  ClusterSim(std::vector<NodeConfig> nodes, NetworkModel network,
-             ExecutorOptions node_options = {});
 
   /// Times a screening campaign.  `problem` provides the receptor, spots
   /// and a representative ligand; `ligand_atom_counts` gives the library

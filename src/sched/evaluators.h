@@ -1,34 +1,11 @@
-// meta::Evaluator adapters binding the metaheuristic engine to the
-// simulated compute resources.
+// meta::Evaluator adapter binding the metaheuristic engine to the
+// simulated multicore CPU.
 #pragma once
 
 #include "cpusim/cpu_engine.h"
-#include "gpusim/scoring_kernel.h"
 #include "meta/evaluator.h"
 
 namespace metadock::sched {
-
-/// Scores batches on one virtual GPU (really computes; clock advances by
-/// the device model).
-class GpuEvaluator final : public meta::Evaluator {
- public:
-  GpuEvaluator(gpusim::Device& device, const scoring::LennardJonesScorer& scorer,
-               gpusim::ScoringKernelOptions options = {})
-      : kernel_(device, scorer, options) {}
-
-  void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    kernel_.score(poses, out);
-  }
-
-  [[nodiscard]] double virtual_seconds() const override {
-    return kernel_.device().busy_seconds();
-  }
-
-  [[nodiscard]] gpusim::DeviceScoringKernel& kernel() noexcept { return kernel_; }
-
- private:
-  gpusim::DeviceScoringKernel kernel_;
-};
 
 /// Scores batches with the host threads while accumulating CPU-model
 /// virtual time (the OpenMP baseline).

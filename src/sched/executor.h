@@ -58,11 +58,6 @@ struct ExecutorOptions {
   /// copies and metaheuristic iterations on the devices' virtual clocks,
   /// plus the per-device/imbalance metrics (see DESIGN.md §9).
   obs::Observer* observer = nullptr;
-  /// Score-cache entry budget (`--score-cache`); 0 disables the cache.
-  /// When on, the evaluator is wrapped in meta::CachedEvaluator so
-  /// revisited conformations skip rescoring — scores are bit-identical
-  /// either way (exact-bit keys; see scoring/score_cache.h).
-  std::size_t score_cache_capacity = 0;
   /// Double-buffered stream overlap per device slice (`--overlap`); ignored
   /// by kCooperative whose chunk queue already interleaves devices.  Scores
   /// are bit-identical either way — only the virtual timeline changes.

@@ -9,8 +9,7 @@
 // backstop; this layer is the static first line of defense.
 //
 // The runtime behavior is exactly the primitive each wrapper wraps: Mutex
-// is std::mutex, SpinLock is the acquire/release atomic_flag spin of the
-// score cache, CondVar is std::condition_variable.  `Serial` is the one
+// is std::mutex, CondVar is std::condition_variable.  `Serial` is the one
 // purely static capability: a zero-byte "role" token for the
 // single-owner subsystems (batch scorer, cluster sim, job server) whose
 // state is thread-compatible, not thread-safe — acquiring it compiles to
@@ -21,7 +20,6 @@
 
 // This header IS the sanctioned wrapper layer over the raw primitives, so
 // metadock-lint exempts it from MDL010 by path.
-#include <atomic>
 #include <condition_variable>
 #include <mutex>
 
@@ -49,27 +47,6 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Test-and-set spinlock with the `mutex` capability: the score cache's
-/// shard lock (DESIGN.md §12.3).  acquire/release ordering publishes every
-/// write made under the lock to the next holder.
-class CAPABILITY("mutex") SpinLock {
- public:
-  SpinLock() = default;
-  SpinLock(const SpinLock&) = delete;
-  SpinLock& operator=(const SpinLock&) = delete;
-
-  void lock() ACQUIRE() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
-      // Spin: shard critical sections are a handful of loads/stores, so a
-      // blocked thread is microseconds from the lock.
-    }
-  }
-  void unlock() RELEASE() { flag_.clear(std::memory_order_release); }
-
- private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-};
-
 /// RAII lock for Mutex.  `unlock()` supports the unlock-before-notify /
 /// unlock-before-rethrow protocols; the destructor releases only when
 /// still owning.
@@ -91,18 +68,6 @@ class SCOPED_CAPABILITY ScopedLock {
  private:
   Mutex& mu_;
   bool owns_ = true;
-};
-
-/// RAII lock for SpinLock.
-class SCOPED_CAPABILITY ScopedSpinLock {
- public:
-  explicit ScopedSpinLock(SpinLock& lock) ACQUIRE(lock) : lock_(lock) { lock_.lock(); }
-  ~ScopedSpinLock() RELEASE() { lock_.unlock(); }
-  ScopedSpinLock(const ScopedSpinLock&) = delete;
-  ScopedSpinLock& operator=(const ScopedSpinLock&) = delete;
-
- private:
-  SpinLock& lock_;
 };
 
 /// Condition variable bound to util::Mutex.  wait() takes the Mutex the

@@ -1,14 +1,18 @@
 #include "vs/job_server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -55,15 +59,50 @@ meta::MetaheuristicParams mh_from(const std::string& name) {
   throw std::invalid_argument("job: unknown metaheuristic '" + name + "'");
 }
 
-std::size_t size_or(const util::JsonValue& v, std::string_view key, std::size_t fallback) {
+/// Every key a job file may set.  Any other key is an error, so a typo
+/// such as "ligand" never silently falls back to a default.
+constexpr std::array<std::string_view, 18> kJobKeys = {
+    "name",
+    "ligands", "min_atoms", "max_atoms", "library_seed",                  // library
+    "dataset", "receptor_atoms", "receptor_seed",                         // receptor
+    "mh", "node", "strategy", "scale", "seed", "population_per_spot",     // engine
+    "batch_size", "top_percent", "hits", "resume"};                       // batching
+
+[[noreturn]] void wrong_type(std::string_view key, const char* expected) {
+  throw std::invalid_argument("job: key '" + std::string(key) + "' expects " + expected);
+}
+
+// Typed reads with a fallback for an absent key.  A present key of the
+// wrong type throws std::invalid_argument naming the key.
+
+std::string string_or(const util::JsonValue& v, std::string_view key, std::string fallback) {
   const util::JsonValue* m = v.find(key);
   if (m == nullptr) return fallback;
-  return static_cast<std::size_t>(m->as_uint64());
+  if (!m->is_string()) wrong_type(key, "a string");
+  return m->as_string();
+}
+
+double number_or(const util::JsonValue& v, std::string_view key, double fallback) {
+  const util::JsonValue* m = v.find(key);
+  if (m == nullptr) return fallback;
+  if (!m->is_number()) wrong_type(key, "a number");
+  return m->as_double();
+}
+
+bool bool_or(const util::JsonValue& v, std::string_view key, bool fallback) {
+  const util::JsonValue* m = v.find(key);
+  if (m == nullptr) return fallback;
+  if (!m->is_bool()) wrong_type(key, "true or false");
+  return m->as_bool();
 }
 
 std::uint64_t u64_or(const util::JsonValue& v, std::string_view key, std::uint64_t fallback) {
   const util::JsonValue* m = v.find(key);
-  return m == nullptr ? fallback : m->as_uint64();
+  if (m == nullptr) return fallback;
+  // Integers are exact in a JSON double only up to 2^53.
+  const double d = m->is_number() ? m->as_double() : -1.0;
+  if (d < 0.0 || d > 0x1p53 || d != std::floor(d)) wrong_type(key, "an integer in [0, 2^53]");
+  return m->as_uint64();
 }
 
 }  // namespace
@@ -76,6 +115,12 @@ JobSpec parse_job_file(const std::string& path) {
   const util::JsonValue doc = util::JsonValue::parse(buffer.str());
   if (!doc.is_object()) throw std::runtime_error("job: " + path + " is not a JSON object");
 
+  for (const util::JsonValue::Member& m : doc.as_object()) {
+    if (std::find(kJobKeys.begin(), kJobKeys.end(), m.first) == kJobKeys.end()) {
+      throw std::invalid_argument("job: unknown key '" + m.first + "'");
+    }
+  }
+
   JobSpec spec;
   spec.job_path = path;
   std::string stem = fs::path(path).filename().string();
@@ -85,30 +130,34 @@ JobSpec parse_job_file(const std::string& path) {
   } else {
     stem = fs::path(path).stem().string();
   }
-  spec.name = doc.string_or("name", stem);
+  spec.name = string_or(doc, "name", stem);
 
-  spec.ligand_count = size_or(doc, "ligands", spec.ligand_count);
-  spec.min_atoms = size_or(doc, "min_atoms", spec.min_atoms);
-  spec.max_atoms = size_or(doc, "max_atoms", spec.max_atoms);
+  spec.ligand_count = u64_or(doc, "ligands", spec.ligand_count);
+  spec.min_atoms = u64_or(doc, "min_atoms", spec.min_atoms);
+  spec.max_atoms = u64_or(doc, "max_atoms", spec.max_atoms);
   spec.library_seed = u64_or(doc, "library_seed", spec.library_seed);
 
-  spec.dataset = doc.string_or("dataset", spec.dataset);
-  spec.receptor_atoms = size_or(doc, "receptor_atoms", spec.receptor_atoms);
+  spec.dataset = string_or(doc, "dataset", spec.dataset);
+  spec.receptor_atoms = u64_or(doc, "receptor_atoms", spec.receptor_atoms);
   spec.receptor_seed = u64_or(doc, "receptor_seed", spec.receptor_seed);
 
-  spec.mh = doc.string_or("mh", spec.mh);
-  spec.node = doc.string_or("node", spec.node);
-  spec.strategy = doc.string_or("strategy", spec.strategy);
-  spec.scale = doc.number_or("scale", spec.scale);
+  spec.mh = string_or(doc, "mh", spec.mh);
+  spec.node = string_or(doc, "node", spec.node);
+  spec.strategy = string_or(doc, "strategy", spec.strategy);
+  spec.scale = number_or(doc, "scale", spec.scale);
   spec.seed = u64_or(doc, "seed", spec.seed);
-  spec.population_per_spot =
-      static_cast<int>(doc.number_or("population_per_spot", spec.population_per_spot));
+  const std::uint64_t population = u64_or(doc, "population_per_spot",
+                                          static_cast<std::uint64_t>(spec.population_per_spot));
+  if (population > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    throw std::invalid_argument("job: key 'population_per_spot' out of range");
+  }
+  spec.population_per_spot = static_cast<int>(population);
 
-  spec.batch_size = size_or(doc, "batch_size", spec.batch_size);
-  spec.top_percent = doc.number_or("top_percent", spec.top_percent);
-  spec.hits_path = doc.string_or("hits", std::string());
+  spec.batch_size = u64_or(doc, "batch_size", spec.batch_size);
+  spec.top_percent = number_or(doc, "top_percent", spec.top_percent);
+  spec.hits_path = string_or(doc, "hits", std::string());
   if (spec.hits_path.empty()) spec.hits_path = path + ".hits.jsonl";
-  spec.resume = doc.bool_or("resume", spec.resume);
+  spec.resume = bool_or(doc, "resume", spec.resume);
 
   if (spec.ligand_count == 0) throw std::invalid_argument("job: ligands must be >= 1");
   if (spec.min_atoms < 4 || spec.max_atoms < spec.min_atoms) {

@@ -67,8 +67,9 @@ struct JobSpec {
   bool resume = true;
 };
 
-/// Parses a job file; unknown keys are ignored, malformed JSON or
-/// out-of-range values throw std::runtime_error / std::invalid_argument.
+/// Parses a job file.  Malformed JSON throws std::runtime_error; an
+/// unknown key, a value of the wrong JSON type or an out-of-range value
+/// throws std::invalid_argument naming the key.
 [[nodiscard]] JobSpec parse_job_file(const std::string& path);
 
 struct JobServerOptions {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -75,7 +76,8 @@ TEST(JobSpecParse, OverridesAreHonoured) {
              "\"library_seed\": 99, \"dataset\": \"2BXG\", \"mh\": \"M4\", "
              "\"node\": \"jupiter\", \"strategy\": \"cpu\", \"scale\": 0.25, "
              "\"seed\": 17, \"batch_size\": 2, \"top_percent\": 40.0, "
-             "\"hits\": \"custom.jsonl\", \"resume\": false}");
+             "\"hits\": \"custom.jsonl\", \"resume\": false, \"receptor_atoms\": 300, "
+             "\"receptor_seed\": 5, \"population_per_spot\": 8}");
   const JobSpec spec = parse_job_file(path.string());
   EXPECT_EQ(spec.name, "custom");
   EXPECT_EQ(spec.ligand_count, 5u);
@@ -92,6 +94,9 @@ TEST(JobSpecParse, OverridesAreHonoured) {
   EXPECT_DOUBLE_EQ(spec.top_percent, 40.0);
   EXPECT_EQ(spec.hits_path, "custom.jsonl");
   EXPECT_FALSE(spec.resume);
+  EXPECT_EQ(spec.receptor_atoms, 300u);
+  EXPECT_EQ(spec.receptor_seed, 5u);
+  EXPECT_EQ(spec.population_per_spot, 8);
 }
 
 TEST(JobSpecParse, RejectsMissingAndMalformedAndOutOfRange) {
@@ -113,6 +118,41 @@ TEST(JobSpecParse, RejectsMissingAndMalformedAndOutOfRange) {
   const fs::path atoms = dir / "atoms.job.json";
   write_file(atoms, "{\"min_atoms\": 10, \"max_atoms\": 5}");
   EXPECT_THROW((void)parse_job_file(atoms.string()), std::invalid_argument);
+}
+
+/// Parses `body` as a job file and returns the std::invalid_argument
+/// message, or "" when it parsed.
+std::string parse_error(const fs::path& dir, const std::string& body) {
+  const fs::path path = dir / "probe.job.json";
+  write_file(path, body);
+  try {
+    (void)parse_job_file(path.string());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(JobSpecParse, RejectsUnknownKeysNamingThem) {
+  const fs::path dir = temp_dir("unknown");
+  EXPECT_NE(parse_error(dir, "{\"ligand\": 3}").find("'ligand'"), std::string::npos);
+  EXPECT_NE(parse_error(dir, "{\"ligands\": 2, \"simd_level\": \"avx2\"}").find("'simd_level'"),
+            std::string::npos);
+}
+
+TEST(JobSpecParse, RejectsWrongTypesNamingTheKey) {
+  const fs::path dir = temp_dir("types");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"scale", "\"0.5\""},           {"resume", "\"no\""},            {"resume", "1"},
+      {"ligands", "\"3\""},           {"ligands", "2.5"},              {"ligands", "-1"},
+      {"seed", "true"},               {"seed", "1e300"},               {"mh", "3"},
+      {"population_per_spot", "8.5"}, {"population_per_spot", "1e12"}, {"top_percent", "null"},
+      {"hits", "[]"},                 {"name", "{}"},                  {"batch_size", "\"64\""},
+  };
+  for (const auto& [key, value] : cases) {
+    const std::string err = parse_error(dir, "{\"" + key + "\": " + value + "}");
+    EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << key << " = " << value;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -171,6 +211,23 @@ TEST(JobServer, FailingJobIsRenamedFailedAndCounted) {
   EXPECT_TRUE(fs::exists(dir / "good.job.json.done"));
   EXPECT_DOUBLE_EQ(observer.metrics.counter("vs.serve.jobs_failed").value(), 1.0);
   EXPECT_DOUBLE_EQ(observer.metrics.counter("vs.serve.jobs_completed").value(), 1.0);
+}
+
+TEST(JobServer, MistypedJobIsRenamedFailed) {
+  const fs::path dir = temp_dir("mistyped");
+  write_file(dir / "typo.job.json", tiny_job_json("\"resume\": \"no\""));
+
+  JobServerOptions options;
+  options.jobs_dir = dir.string();
+  options.drain = true;
+  JobServer server(options);
+  const std::vector<JobOutcome> outcomes = server.serve_directory();
+
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok);
+  EXPECT_NE(outcomes[0].error.find("'resume'"), std::string::npos);
+  EXPECT_TRUE(fs::exists(dir / "typo.job.json.failed"));
+  EXPECT_FALSE(fs::exists(dir / "typo.job.json.hits.jsonl"));
 }
 
 TEST(JobServer, MaxJobsStopsEarly) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Schema validator for BENCH_scoring.json (metadock.bench_scoring/4).
+"""Schema validator for BENCH_scoring.json (metadock.bench_scoring/5).
 
 Usage: check_bench_scoring.py FILE
 
@@ -19,10 +19,10 @@ import json
 import math
 import sys
 
-EXPECTED_SCHEMA = "metadock.bench_scoring/4"
+EXPECTED_SCHEMA = "metadock.bench_scoring/5"
 KNOWN_IMPLS = {"reference", "batched-scalar", "batched-simd"}
 SIMD_LEVELS = ("scalar", "avx2")
-GENERATION_MODES = ("batched-aos", "batched-soa", "batched-soa-cache")
+GENERATION_MODES = ("batched-aos", "batched-soa")
 OVERLAP_MODES = ("serial", "overlapped", "overlapped-cpu-tail")
 #: Virtual-time gate: the double-buffered pipeline must hide at least this
 #: much of the serial round on the transfer-bound fragment workload.
@@ -50,8 +50,7 @@ def check_generation(doc: dict) -> dict:
     config = gen.get("config")
     require(isinstance(config, dict), "missing generation.config object")
     require(isinstance(config.get("mh"), str) and config["mh"], "generation.config.mh must be a string")
-    for key in ("receptor_atoms", "ligand_atoms", "spots", "population_per_spot",
-                "generations", "score_cache_entries"):
+    for key in ("receptor_atoms", "ligand_atoms", "spots", "population_per_spot", "generations"):
         require(isinstance(config.get(key), int) and config[key] > 0,
                 f"generation.config.{key} must be a positive int")
 
@@ -77,13 +76,6 @@ def check_generation(doc: dict) -> dict:
         expected = r["evals_per_second"] / baseline
         require(abs(speedup - expected) < 1e-6 * max(1.0, expected),
                 f"{mode}: speedup_vs_batched_aos inconsistent with evals_per_second")
-
-    cached = by_mode["batched-soa-cache"]
-    for key in ("cache_hits", "cache_misses"):
-        require(isinstance(cached.get(key), int) and cached[key] >= 0,
-                f"batched-soa-cache.{key} must be a non-negative int")
-    require(cached["cache_hits"] + cached["cache_misses"] > 0,
-            "batched-soa-cache saw no cache traffic")
     return by_mode
 
 

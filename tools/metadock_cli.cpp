@@ -131,9 +131,6 @@ using namespace metadock;
                "                         batched-simd when the CPU supports AVX2+FMA,\n"
                "                         else batched-scalar; batched-simd without\n"
                "                         them is an error)\n"
-               "  --score-cache N        share an N-entry score cache across the run;\n"
-               "                         revisited conformations skip rescoring with\n"
-               "                         bit-identical results (default 0 = off)\n"
                "\n"
                "batch dispatch (dock and screen):\n"
                "  --overlap on|off       double-buffered stream overlap per device slice\n"
@@ -143,6 +140,15 @@ using namespace metadock;
                "                         concurrently with the GPU pipelines (default 0;\n"
                "                         requires --overlap on; 0 <= F < 1)\n");
   std::exit(2);
+}
+
+/// Reads a count flag (an integer >= 0); a negative value is a usage error
+/// naming the flag instead of wrapping to a huge size_t.
+std::size_t count_flag(const util::ArgParser& args, const char* flag, std::int64_t fallback) {
+  const std::int64_t n = args.get(flag, fallback);
+  if (n < 0) usage(("--" + std::string(flag) + ": expected a count >= 0, got " +
+                    std::to_string(n)).c_str());
+  return static_cast<std::size_t>(n);
 }
 
 /// Splits "a,b,c" into pieces (no empties for an empty input).
@@ -205,11 +211,10 @@ void apply_fault_flags(const util::ArgParser& args, sched::ExecutorOptions& exec
   }
   exec.fault_plan = plan;
   exec.fault_policy.max_retries = static_cast<int>(args.get("fault-retries", std::int64_t{3}));
-  exec.fault_policy.rebalance_batches =
-      static_cast<std::size_t>(args.get("fault-rebalance", std::int64_t{0}));
+  exec.fault_policy.rebalance_batches = count_flag(args, "fault-rebalance", 0);
 }
 
-/// Applies --scoring-impl and --score-cache to the executor options.
+/// Applies --scoring-impl to the executor options.
 void apply_scoring_impl(const util::ArgParser& args, sched::ExecutorOptions& exec) {
   try {
     if (args.has("scoring-impl")) {
@@ -221,9 +226,6 @@ void apply_scoring_impl(const util::ArgParser& args, sched::ExecutorOptions& exe
   } catch (const std::invalid_argument& e) {
     usage(e.what());
   }
-  const auto cache = args.get("score-cache", std::int64_t{0});
-  if (cache < 0) usage("--score-cache: entry count must be >= 0");
-  exec.score_cache_capacity = static_cast<std::size_t>(cache);
 }
 
 /// Applies --overlap and --cpu-tail-share to the executor options.
@@ -323,6 +325,7 @@ int cmd_dock(const util::ArgParser& args) {
   mol::Molecule ligand = args.has("ligand") ? mol::read_pdb_file(args.get("ligand"))
                                             : mol::make_dataset_ligand(ds);
   ligand.center_at_origin();
+  const std::size_t n_conformers = count_flag(args, "conformers", 1);
 
   vs::ScreeningOptions options;
   options.params = mh_from(args.get("mh", std::string("M3")));
@@ -342,11 +345,10 @@ int cmd_dock(const util::ArgParser& args) {
               engine.spots().size(), args.get("node", std::string("hertz")).c_str(),
               options.params.name.c_str());
 
-  const auto n_conformers = args.get("conformers", std::int64_t{1});
   vs::LigandHit hit;
   if (n_conformers > 1) {
     mol::ConformerParams cp;
-    cp.count = static_cast<std::size_t>(n_conformers);
+    cp.count = n_conformers;
     std::vector<double> per_conformer;
     hit = engine.dock_ensemble(ligand, cp, &per_conformer);
     std::printf("ensemble of %zu conformers; per-conformer best energies:", per_conformer.size());
@@ -393,7 +395,7 @@ int cmd_screen(const util::ArgParser& args) {
                                      : mol::make_dataset_receptor(ds);
 
   mol::LibraryParams lib;
-  lib.count = static_cast<std::size_t>(args.get("count", std::int64_t{4}));
+  lib.count = count_flag(args, "count", 4);
   lib.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{7}));
   const auto library = mol::make_ligand_library(lib);
 
@@ -421,7 +423,7 @@ int cmd_screen(const util::ArgParser& args) {
   if (batch_mode) {
     install_sigint_handler();
     vs::BatchScreeningOptions batch;
-    batch.batch_size = static_cast<std::size_t>(args.get("batch-size", std::int64_t{64}));
+    batch.batch_size = count_flag(args, "batch-size", 64);
     batch.top_percent = args.get("top-percent", 100.0);
     batch.hits_path = args.get("hits-jsonl", std::string());
     batch.resume = args.has("resume");
@@ -477,7 +479,7 @@ int cmd_serve(const util::ArgParser& args) {
   options.jobs_dir = jobs_dir;
   options.drain = args.has("drain");
   options.poll_ms = static_cast<int>(args.get("poll-ms", std::int64_t{200}));
-  options.max_jobs = static_cast<std::size_t>(args.get("max-jobs", std::int64_t{0}));
+  options.max_jobs = count_flag(args, "max-jobs", 0);
   options.observer = &observer;
   options.should_stop = [] { return g_interrupted != 0; };
   options.log = &std::cout;
@@ -524,7 +526,7 @@ int cmd_cluster(const util::ArgParser& args) {
                                      ? mol::read_pdb_file(args.get("receptor"))
                                      : mol::make_dataset_receptor(ds);
   mol::LibraryParams lib;
-  lib.count = static_cast<std::size_t>(args.get("count", std::int64_t{64}));
+  lib.count = count_flag(args, "count", 64);
   lib.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{7}));
   const auto library = mol::make_ligand_library(lib);
 
@@ -665,7 +667,7 @@ std::vector<Command> commands() {
   // Fault injection, host scoring and batch dispatch: dock and screen.
   std::vector<std::string> exec = {"fault-seed", "fault-kill", "fault-transient",
                                    "fault-straggle", "fault-retries", "fault-rebalance",
-                                   "scoring-impl", "score-cache", "overlap", "cpu-tail-share"};
+                                   "scoring-impl", "overlap", "cpu-tail-share"};
   exec.insert(exec.end(), obs.begin(), obs.end());
   const auto with = [](std::vector<std::string> own, const std::vector<std::string>& shared) {
     own.insert(own.end(), shared.begin(), shared.end());
