@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -129,10 +130,19 @@ PaddedReceptor PaddedReceptor::build(const ReceptorAtoms& receptor, const Ligand
 
 namespace detail {
 
-void score_block_tile_scalar(const BlockKernelArgs& a) {
-  // +inf sentinel keeps the cutoff test branch-free: r2 is clamped to
-  // kMinR2, so every pair passes "r2 <= inf".
-  const float cut2 = a.cutoff2 > 0.0f ? a.cutoff2 : std::numeric_limits<float>::infinity();
+namespace {
+
+/// Sum of eight lane accumulators in the AVX2 kernel's horizontal-sum
+/// tree, widened to double.
+double lane_sum(const std::array<float, kLanes>& a) noexcept {
+  return static_cast<double>(((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7])));
+}
+
+/// The canonical order of DESIGN.md §10, one lane at a time: slot i feeds
+/// lane i mod 8, and every FMA of the AVX2 kernel is a std::fmaf here, so
+/// both kernels produce the same bits.
+template <bool kCoulomb, bool kCutoff>
+void score_block_tile(const BlockKernelArgs& a) {
   for (std::size_t p = 0; p < a.n_poses; ++p) {
     const float* lx = a.lx + p * a.lig_n;
     const float* ly = a.ly + p * a.lig_n;
@@ -142,23 +152,41 @@ void score_block_tile_scalar(const BlockKernelArgs& a) {
       const float px = lx[j], py = ly[j], pz = lz[j];
       const float* ca = a.ra + a.column[j];
       const float* cb = a.rb + a.column[j];
-      const float qscale =
-          a.coulomb ? kCoulombConst * a.lcharge[j] / a.dielectric : 0.0f;
-      double e = 0.0;
+      const float qscale = kCoulomb ? kCoulombConst * a.lcharge[j] / a.dielectric : 0.0f;
+      std::array<float, kLanes> acc{};
       for (std::size_t i = 0; i < a.n; ++i) {
         const float dx = a.rx[i] - px;
         const float dy = a.ry[i] - py;
         const float dz = a.rz[i] - pz;
-        const float r2 = std::max(dx * dx + dy * dy + dz * dz, kMinR2);
+        float r2 = std::fmaf(dz, dz, std::fmaf(dy, dy, dx * dx));
+        r2 = r2 > kMinR2 ? r2 : kMinR2;  // _mm256_max_ps(r2, kMinR2)
         const float inv2 = 1.0f / r2;
-        const float inv6 = inv2 * inv2 * inv2;
-        float pair = (ca[i] * inv6 - cb[i]) * inv6;
-        if (a.coulomb) pair += qscale * a.rcharge[i] * inv2;
-        e += r2 <= cut2 ? pair : 0.0f;
+        const float inv6 = (inv2 * inv2) * inv2;
+        const float lj = std::fmaf(ca[i], inv6, -cb[i]);
+        float& lane = acc[i % kLanes];
+        if constexpr (!kCoulomb && !kCutoff) {
+          lane = std::fmaf(lj, inv6, lane);
+        } else {
+          float pair = lj * inv6;
+          if constexpr (kCoulomb) pair = std::fmaf(qscale * a.rcharge[i], inv2, pair);
+          if constexpr (kCutoff) pair = r2 <= a.cutoff2 ? pair : 0.0f;
+          lane = lane + pair;
+        }
       }
-      energy += e;
+      energy += lane_sum(acc);
     }
     a.energy[p] += energy;
+  }
+}
+
+}  // namespace
+
+void score_block_tile_scalar(const BlockKernelArgs& a) {
+  const bool cut = a.cutoff2 > 0.0f;
+  if (a.coulomb) {
+    cut ? score_block_tile<true, true>(a) : score_block_tile<true, false>(a);
+  } else {
+    cut ? score_block_tile<false, true>(a) : score_block_tile<false, false>(a);
   }
 }
 

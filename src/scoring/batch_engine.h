@@ -21,10 +21,11 @@
 //
 // Two kernels back the engine: a portable scalar one and an explicit
 // AVX2/FMA one (compiled when METADOCK_SIMD is ON and the target is
-// x86-64; dispatched at runtime via cpuid).  Both walk the same padded
-// tiles and accumulate per-pair float terms into double, so they agree
-// with each other — and with score() — up to FP association order (the
-// equivalence property tests pin this down).
+// x86-64; dispatched at runtime via cpuid).  Both compute one canonical
+// evaluation order (DESIGN.md §10): eight float lanes per tile, fixed FMAs,
+// a fixed horizontal-sum tree, double totals.  So they produce the same
+// bits; the kernel choice is a speed choice only.  score() keeps its own
+// order and agrees with them up to FP association.
 #pragma once
 
 #include <cstdint>
@@ -199,8 +200,8 @@ struct BlockKernelArgs {
   double* energy = nullptr;
 };
 
-/// Portable fallback: same traversal as the AVX2 kernel, plain scalar
-/// float math, double accumulation.
+/// Portable kernel: the AVX2 kernel's order one lane at a time, with
+/// std::fmaf for its FMAs, so both kernels write the same bits.
 void score_block_tile_scalar(const BlockKernelArgs& args);
 
 /// Explicit AVX2/FMA kernel; calling it when !simd_kernel_compiled() is a

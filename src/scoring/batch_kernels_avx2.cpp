@@ -7,17 +7,15 @@
 // defined so no build configuration needs link-time surgery.
 //
 // Per (pose, ligand atom, tile): one straight loop walks the lane-padded
-// tile 8 receptor slots per iteration, loading the slots' coordinates and
-// the ligand element's A/B coefficient columns (unit stride, unaligned
-// loads), computes the LJ (and optionally Coulomb) term with FMAs and one
-// division (true IEEE divide, not a reciprocal approximation, so lanes
-// match the scalar kernel per pair), and masks lanes past the cutoff.
-// Tiles are padded to a multiple of 8 with A = B = charge = 0, so there is
-// no scalar tail and padding lanes add exactly 0.  Lane results accumulate
-// in a float register across the tile (at most tile_size pairs, so the
-// partial sums stay at per-pair rounding scale), then one horizontal sum
-// per tile feeds the per-pose double accumulator — the same "float pairs,
-// double total" contract as the scalar kernel.
+// tile 8 receptor slots per iteration (unit stride, unaligned loads) and
+// evaluates the canonical pair order of DESIGN.md §10 in 8 float lanes:
+// lane k accumulates slots i with i mod 8 = k, one true IEEE divide per
+// pair, and every fused multiply-add spelled as an intrinsic.  The build
+// adds -ffp-contract=off, so the compiler fuses nothing the source does
+// not name and the portable scalar kernel (batch_engine.cpp) reproduces
+// these bits exactly.  Tiles are padded to a multiple of 8 with
+// A = B = charge = 0, so there is no scalar tail and padding lanes add
+// exactly 0.
 //
 // The coulomb and cutoff flags are hoisted out of the hot loop via
 // template parameters: the common full-pair-sum case (no cutoff, LJ only)
@@ -36,7 +34,8 @@ namespace detail {
 
 namespace {
 
-/// Sum of one 8-lane float accumulator.
+/// Sum of one 8-lane float accumulator, in the tree of DESIGN.md §10:
+/// ((a0+a4)+(a2+a6)) + ((a1+a5)+(a3+a7)), widened to double.
 inline double hsum(__m256 v) noexcept {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -75,16 +74,21 @@ void score_block_tile(const BlockKernelArgs& a) {
         r2 = _mm256_max_ps(r2, vmin_r2);
         const __m256 inv2 = _mm256_div_ps(vone, r2);
         const __m256 inv6 = _mm256_mul_ps(_mm256_mul_ps(inv2, inv2), inv2);
-        __m256 pair = _mm256_mul_ps(
-            _mm256_fmsub_ps(_mm256_loadu_ps(ca + i), inv6, _mm256_loadu_ps(cb + i)), inv6);
-        if constexpr (kCoulomb) {
-          const __m256 q = _mm256_mul_ps(vqscale, _mm256_loadu_ps(a.rcharge + i));
-          pair = _mm256_fmadd_ps(q, inv2, pair);
+        const __m256 lj =
+            _mm256_fmsub_ps(_mm256_loadu_ps(ca + i), inv6, _mm256_loadu_ps(cb + i));
+        if constexpr (!kCoulomb && !kCutoff) {
+          vsum = _mm256_fmadd_ps(lj, inv6, vsum);
+        } else {
+          __m256 pair = _mm256_mul_ps(lj, inv6);
+          if constexpr (kCoulomb) {
+            const __m256 q = _mm256_mul_ps(vqscale, _mm256_loadu_ps(a.rcharge + i));
+            pair = _mm256_fmadd_ps(q, inv2, pair);
+          }
+          if constexpr (kCutoff) {
+            pair = _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ));
+          }
+          vsum = _mm256_add_ps(vsum, pair);
         }
-        if constexpr (kCutoff) {
-          pair = _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ));
-        }
-        vsum = _mm256_add_ps(vsum, pair);
       }
       energy += hsum(vsum);
     }

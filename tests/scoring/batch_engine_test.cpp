@@ -1,15 +1,17 @@
 // Property tests for the batched scoring engine: the lane-padded layout
-// keeps every receptor atom in place with zero-weight padding, and every
-// implementation — reference score(), batched-scalar, batched-SIMD —
-// computes the same energy up to FP association order.
+// keeps every receptor atom in place with zero-weight padding, the scalar
+// and AVX2 kernels compute bit-identical energies, and both agree with the
+// reference score() up to FP association order.
 #include "scoring/batch_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mol/synth.h"
@@ -283,53 +285,55 @@ TEST(PaddedReceptor, AosAndSoaEntryPointsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Implementation equivalence
+// Kernel equivalence
 
-struct EquivCase {
+/// One parity case: receptor and ligand sizes (deliberately not multiples
+/// of the lane width), scoring options and tile size.
+struct KernelCase {
+  const char* name;
+  std::size_t receptor_atoms;
+  std::size_t ligand_atoms;
   bool coulomb;
   float cutoff;
   int tile_size;
 };
 
-class BatchEquivalence : public ::testing::TestWithParam<EquivCase> {};
+/// Names the case in test listings instead of dumping its bytes.
+void PrintTo(const KernelCase& c, std::ostream* os) { *os << c.name; }
+
+class BatchEquivalence : public ::testing::TestWithParam<KernelCase> {};
 
 TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
-  const EquivCase c = GetParam();
-  const mol::Molecule rec = make_receptor(333);  // not a multiple of any tile
-  const mol::Molecule lig = make_ligand(13);
+  const KernelCase& c = GetParam();
   ScoringOptions opt;
   opt.coulomb = c.coulomb;
   opt.cutoff = c.cutoff;
   opt.tile_size = c.tile_size;
-  const LennardJonesScorer scorer(rec, lig, opt);
+  const LennardJonesScorer scorer(make_receptor(c.receptor_atoms), make_ligand(c.ligand_atoms),
+                                  opt);
+  const BatchScoringEngine scalar = make_engine(scorer, SimdLevel::kScalar);
+  ASSERT_EQ(scalar.pose_block(), 16);
 
-  BatchEngineOptions scalar_opt;
-  scalar_opt.simd = SimdLevel::kScalar;
-  scalar_opt.pose_block = 16;
-  const BatchScoringEngine scalar(scorer, scalar_opt);
-
-  // Batch sizes around the pose-block boundary: 1, a partial block, one
-  // full block, and a block plus a remainder.
-  for (std::size_t n : {1u, 7u, 16u, 17u}) {
+  // Batch sizes around the pose-block boundary: empty, 1, a partial block,
+  // one full block, a block plus a remainder, and more than two blocks.
+  for (std::size_t n : {0u, 1u, 7u, 16u, 17u, 33u}) {
     const auto poses = random_poses(n, 100 + n);
     std::vector<double> got(n);
     scalar.score_batch(poses, got);
     for (std::size_t i = 0; i < n; ++i) {
+      // score() sums in its own order: the oracle agrees up to association.
       expect_close(got[i], scorer.score(poses[i]), "scalar-vs-reference", i);
-      // Pose-block traversal must not change per-pose energies: a block of
-      // one is the degenerate traversal, so it pins block invariance.
-      EXPECT_DOUBLE_EQ(got[i], scalar.score(poses[i])) << i;
+      // A block of one is the degenerate traversal, so it pins block
+      // invariance.
+      EXPECT_EQ(got[i], scalar.score(poses[i])) << "batch " << n << " pose " << i;
     }
-
     if (simd_kernel_supported()) {
-      BatchEngineOptions simd_opt = scalar_opt;
-      simd_opt.simd = SimdLevel::kAvx2;
-      const BatchScoringEngine simd(scorer, simd_opt);
+      // Both kernels compute the order of DESIGN.md §10: the same bits.
+      const BatchScoringEngine simd = make_engine(scorer, SimdLevel::kAvx2);
       std::vector<double> simd_got(n);
       simd.score_batch(poses, simd_got);
       for (std::size_t i = 0; i < n; ++i) {
-        expect_close(simd_got[i], got[i], "simd-vs-scalar", i);
-        expect_close(simd_got[i], scorer.score(poses[i]), "simd-vs-reference", i);
+        EXPECT_EQ(simd_got[i], got[i]) << "batch " << n << " pose " << i;
       }
     }
   }
@@ -337,17 +341,24 @@ TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchEquivalence,
-    ::testing::Values(EquivCase{false, 0.0f, 256}, EquivCase{true, 0.0f, 256},
-                      EquivCase{false, 8.0f, 256}, EquivCase{true, 8.0f, 256},
-                      EquivCase{false, 0.0f, 1}, EquivCase{false, 0.0f, 17},
-                      EquivCase{true, 6.5f, 64}, EquivCase{false, 0.0f, 4096}),
-    [](const ::testing::TestParamInfo<EquivCase>& info) {
-      const EquivCase& c = info.param;
-      std::string name = c.coulomb ? "coulomb" : "lj";
-      name += c.cutoff > 0.0f ? "_cut" : "_nocut";
-      name += "_tile" + std::to_string(c.tile_size);
-      return name;
-    });
+    ::testing::Values(
+        // Coulomb x cutoff at the default tile.
+        KernelCase{"lj_nocut_tile256", 333, 13, false, 0.0f, 256},
+        KernelCase{"coulomb_nocut_tile256", 333, 13, true, 0.0f, 256},
+        KernelCase{"lj_cut_tile256", 333, 13, false, 8.0f, 256},
+        KernelCase{"coulomb_cut_tile256", 333, 13, true, 8.0f, 256},
+        // Tile sizes.
+        KernelCase{"lj_nocut_tile1", 333, 13, false, 0.0f, 1},
+        KernelCase{"lj_nocut_tile17", 333, 13, false, 0.0f, 17},
+        KernelCase{"coulomb_cut_tile64", 333, 13, true, 6.5f, 64},
+        KernelCase{"lj_nocut_tile4096", 333, 13, false, 0.0f, 4096},
+        // Edge shapes.
+        KernelCase{"sub_lane_receptor", 13, 5, false, 0.0f, 256},
+        KernelCase{"single_atom_ligand", 33, 1, false, 0.0f, 256},
+        KernelCase{"odd_everything", 13, 3, false, 0.0f, 256},
+        KernelCase{"one_full_lane_plus_tail", 17, 1, false, 0.0f, 256},
+        KernelCase{"paper_like_small", 101, 7, false, 0.0f, 256}),
+    [](const ::testing::TestParamInfo<KernelCase>& info) { return std::string(info.param.name); });
 
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   EXPECT_NE(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kAuto);
