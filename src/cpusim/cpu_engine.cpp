@@ -4,11 +4,8 @@
 
 namespace metadock::cpusim {
 
-CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
-                                   scoring::ScoringImpl impl)
-    : spec_(std::move(spec)),
-      scorer_(scorer),
-      batch_(scorer, {.simd = scoring::simd_level_for(impl)}) {}
+CpuScoringEngine::CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer)
+    : spec_(std::move(spec)), scorer_(scorer), batch_(scorer) {}
 
 void CpuScoringEngine::score(const scoring::PoseBatch& batch) {
   gpusim::score_on_host(batch_, batch, observer_);

@@ -14,11 +14,7 @@ namespace metadock::cpusim {
 
 class CpuScoringEngine {
  public:
-  /// `impl` selects the batched engine's kernel (kAuto = SIMD when the
-  /// CPU supports it); kBatchedSimd without AVX2/FMA throws
-  /// std::invalid_argument.
-  CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer,
-                   scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto);
+  CpuScoringEngine(CpuSpec spec, const scoring::LennardJonesScorer& scorer);
 
   /// Observability sink for real host throughput (nullable = off): the
   /// host.* scoring metrics defined in obs/host_metrics.h.

@@ -18,7 +18,6 @@ scoring::BatchEngineOptions engine_options(const ScoringKernelOptions& options) 
   }
   scoring::BatchEngineOptions be;
   be.pose_block = options.warps_per_block;
-  be.simd = scoring::simd_level_for(options.impl);
   return be;
 }
 
@@ -99,16 +98,35 @@ KernelCost DeviceScoringKernel::cost(std::size_t n_poses) const {
     cost.global_bytes =
         pairs * kBytesPerReceptorAtom * kNaiveMissRate;
   }
-  cost.global_bytes += kBytesPerPose * static_cast<double>(n_poses)  // poses in
-                       + 8.0 * static_cast<double>(n_poses);         // scores out
+  cost.global_bytes += kBytesPerPose * static_cast<double>(n_poses)     // poses in
+                       + kBytesPerScore * static_cast<double>(n_poses);  // scores out
   return cost;
+}
+
+double DeviceScoringKernel::upload_seconds(std::size_t n) const {
+  return transfer_time_s(device_.spec(), kBytesPerPose * static_cast<double>(n),
+                         device_.cost_params());
+}
+
+double DeviceScoringKernel::download_seconds(std::size_t n) const {
+  return transfer_time_s(device_.spec(), kBytesPerScore * static_cast<double>(n),
+                         device_.cost_params());
+}
+
+double DeviceScoringKernel::kernel_seconds(std::size_t n) const {
+  return kernel_time_s(device_.spec(), launch_config(n), cost(n), device_.cost_params()) *
+         device_.slowdown();
+}
+
+double DeviceScoringKernel::round_seconds(std::size_t n) const {
+  return upload_seconds(n) + kernel_seconds(n) + download_seconds(n);
 }
 
 void DeviceScoringKernel::score(const scoring::PoseBatch& batch) {
   if (batch.n == 0) return;
   device_.copy_to_device(kBytesPerPose * static_cast<double>(batch.n));
   launch(-1, batch);
-  device_.copy_from_device(8.0 * static_cast<double>(batch.n));
+  device_.copy_from_device(kBytesPerScore * static_cast<double>(batch.n));
 }
 
 void DeviceScoringKernel::launch(int stream, const scoring::PoseBatch& batch) {
@@ -131,7 +149,7 @@ void DeviceScoringKernel::upload_poses_async(int stream, std::size_t n) {
 
 void DeviceScoringKernel::download_scores_async(int stream, std::size_t n) {
   if (n == 0) return;
-  device_.copy_from_device_async(stream, 8.0 * static_cast<double>(n));
+  device_.copy_from_device_async(stream, kBytesPerScore * static_cast<double>(n));
 }
 
 }  // namespace metadock::gpusim

@@ -23,10 +23,6 @@ struct ScoringKernelOptions {
   bool tiled = true;
   /// Receptor atoms per shared-memory tile.
   int tile_atoms = 256;
-  /// Kernel of the batched host engine doing the real numeric work behind
-  /// the virtual kernel.  kAuto picks the AVX2 kernel when the CPU has
-  /// AVX2+FMA; kBatchedSimd without them throws at construction.
-  scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto;
 };
 
 /// The one place real scores are computed: scores a real `batch` on the
@@ -65,11 +61,24 @@ class DeviceScoringKernel {
   void launch(int stream, const scoring::PoseBatch& batch);
   /// Async H2D of `n` poses' payload (kBytesPerPose each) on `stream`.
   void upload_poses_async(int stream, std::size_t n);
-  /// Async D2H of `n` scores (8 bytes each) on `stream`.
+  /// Async D2H of `n` scores (kBytesPerScore each) on `stream`.
   void download_scores_async(int stream, std::size_t n);
 
   [[nodiscard]] KernelLaunch launch_config(std::size_t n_poses) const;
   [[nodiscard]] KernelCost cost(std::size_t n_poses) const;
+
+  // Modelled prices, for schedulers weighing dispatch shapes; no clock
+  // moves.  Each equals the clock advance of the matching operation on a
+  // fault-free device, up to the clock's 1 ns rounding per operation.
+  /// One H2D upload of `n` poses.
+  [[nodiscard]] double upload_seconds(std::size_t n) const;
+  /// One D2H download of `n` scores.
+  [[nodiscard]] double download_seconds(std::size_t n) const;
+  /// One kernel over `n` poses at the device's current slowdown.
+  [[nodiscard]] double kernel_seconds(std::size_t n) const;
+  /// One synchronous round of `n` poses, as score() runs it: upload,
+  /// kernel, download.
+  [[nodiscard]] double round_seconds(std::size_t n) const;
 
   [[nodiscard]] Device& device() noexcept { return device_; }
   [[nodiscard]] const Device& device() const noexcept { return device_; }
@@ -80,6 +89,8 @@ class DeviceScoringKernel {
   static constexpr double kBytesPerReceptorAtom = scoring::kModelBytesPerReceptorAtom;
   /// Bytes per uploaded pose (position + quaternion as floats).
   static constexpr double kBytesPerPose = 28.0;
+  /// Bytes per downloaded score (one double).
+  static constexpr double kBytesPerScore = 8.0;
   /// Fraction of the naive (untiled) kernel's per-pair receptor touches
   /// that miss the cache hierarchy and cost DRAM bandwidth.
   static constexpr double kNaiveMissRate = 0.25;

@@ -12,9 +12,8 @@ namespace metadock::sched {
 class CpuModelEvaluator final : public meta::Evaluator {
  public:
   CpuModelEvaluator(cpusim::CpuSpec spec, const scoring::LennardJonesScorer& scorer,
-                    scoring::ScoringImpl impl = scoring::ScoringImpl::kAuto,
                     obs::Observer* observer = nullptr)
-      : engine_(std::move(spec), scorer, impl) {
+      : engine_(std::move(spec), scorer) {
     engine_.set_observer(observer);
   }
 

@@ -243,7 +243,7 @@ ExecutionReport NodeExecutor::execute(const meta::DockingProblem& problem, Drive
   report.strategy = options_.strategy;
 
   if (options_.strategy == Strategy::kCpu) {
-    CpuModelEvaluator eval(node_.cpu, scorer, options_.kernel.impl, options_.observer);
+    CpuModelEvaluator eval(node_.cpu, scorer, options_.observer);
     report.result = drive(eval);
     DeviceReport dr;
     dr.name = node_.cpu.name;

@@ -144,9 +144,9 @@ cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage_cpu() {
       throw gpusim::AllDevicesLostError(
           "MultiGpuBatchScorer: every device is lost and no CPU fallback is configured");
     }
-    // Same host implementation as the device kernels, so degradation does
-    // not change the science (bit-identical per-pose energies).
-    cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl);
+    // Same host engine as the device kernels, so degradation does not
+    // change the science (bit-identical per-pose energies).
+    cpu_.emplace(*options_.cpu_fallback, scorer_);
     cpu_->set_observer(options_.observer);
     faults_.degraded_to_cpu = true;
   }
@@ -155,9 +155,9 @@ cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage_cpu() {
 
 cpusim::CpuScoringEngine& MultiGpuBatchScorer::engage_tail() {
   if (!tail_cpu_) {
-    // Same host implementation as the device kernels: the tail partition
-    // changes where poses are scored, never what they score.
-    tail_cpu_.emplace(*options_.cpu_fallback, scorer_, options_.kernel.impl);
+    // Same host engine as the device kernels: the tail partition changes
+    // where poses are scored, never what they score.
+    tail_cpu_.emplace(*options_.cpu_fallback, scorer_);
     tail_cpu_->set_observer(options_.observer);
   }
   return *tail_cpu_;
@@ -212,28 +212,18 @@ std::size_t MultiGpuBatchScorer::run_overlapped(std::size_t d, const scoring::Po
   std::size_t c0 = count;
   if (blocks >= 2) {
     const std::size_t half = std::min(count, (blocks + 1) / 2 * wpb);
-    const auto tx = [&](double bytes) {
-      return gpusim::transfer_time_s(dev.spec(), bytes, dev.cost_params());
-    };
-    const auto kt = [&](std::size_t m) {
-      return gpusim::kernel_time_s(dev.spec(), kern.launch_config(m), kern.cost(m),
-                                   dev.cost_params()) *
-             dev.slowdown();
-    };
-    constexpr double kB2D = gpusim::DeviceScoringKernel::kBytesPerPose;
     const std::size_t rest = count - half;
-    const double single_s = tx(kB2D * static_cast<double>(count)) + kt(count) +
-                            tx(8.0 * static_cast<double>(count));
     // Pipeline shape: h2d(half) ; kernel(half) || h2d(rest) ; kernel(rest)
     // || d2h(half) ; d2h(rest) — the maxes cover transfer-bound slices
     // where a copy outlasts the kernel it hides under.
-    const double h2d0 = tx(kB2D * static_cast<double>(half));
-    const double k1_end =
-        h2d0 + std::max(kt(half), tx(kB2D * static_cast<double>(rest))) + kt(rest);
+    const double h2d0 = kern.upload_seconds(half);
+    const double k1_end = h2d0 +
+                          std::max(kern.kernel_seconds(half), kern.upload_seconds(rest)) +
+                          kern.kernel_seconds(rest);
     const double split_s =
-        std::max(k1_end, h2d0 + kt(half) + tx(8.0 * static_cast<double>(half))) +
-        tx(8.0 * static_cast<double>(rest));
-    if (split_s < single_s) c0 = half;
+        std::max(k1_end, h2d0 + kern.kernel_seconds(half) + kern.download_seconds(half)) +
+        kern.download_seconds(rest);
+    if (split_s < kern.round_seconds(count)) c0 = half;
   }
   const std::size_t c1 = count - c0;
 
@@ -475,7 +465,9 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
     for (std::size_t d = 0; d < n_dev; ++d) {
       const std::size_t scored = device_confs_[d] - confs_before[d];
       if (scored > 0) {
-        rt_.device(static_cast<int>(d)).copy_from_device(8.0 * static_cast<double>(scored));
+        rt_.device(static_cast<int>(d))
+            .copy_from_device(gpusim::DeviceScoringKernel::kBytesPerScore *
+                              static_cast<double>(scored));
       }
     }
   }
@@ -502,18 +494,9 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
       for (std::size_t d = 0; d < n_dev; ++d) {
         const std::size_t scored = device_confs_[d] - confs_before[d];
         if (scored == 0 || !kernels_[d].has_value()) continue;
-        gpusim::Device& dev = rt_.device(static_cast<int>(d));
         const gpusim::DeviceScoringKernel& kern = *kernels_[d];
-        const double serial_d =
-            gpusim::transfer_time_s(dev.spec(),
-                                    gpusim::DeviceScoringKernel::kBytesPerPose *
-                                        static_cast<double>(head),
-                                    dev.cost_params()) +
-            gpusim::kernel_time_s(dev.spec(), kern.launch_config(scored), kern.cost(scored),
-                                  dev.cost_params()) *
-                dev.slowdown() +
-            gpusim::transfer_time_s(dev.spec(), 8.0 * static_cast<double>(scored),
-                                    dev.cost_params());
+        const double serial_d = kern.upload_seconds(head) + kern.kernel_seconds(scored) +
+                                kern.download_seconds(scored);
         serial_max = std::max(serial_max, serial_d);
       }
       const double saved = serial_max - std::max(max_delta, tail_delta);

@@ -40,14 +40,6 @@ bool simd_level_supported(SimdLevel level) noexcept {
   return level == SimdLevel::kScalar || simd_kernel_supported();
 }
 
-ScoringImpl scoring_impl_from(std::string_view name) {
-  if (name == "auto") return ScoringImpl::kAuto;
-  if (name == "batched" || name == "batched-scalar") return ScoringImpl::kBatched;
-  if (name == "batched-simd") return ScoringImpl::kBatchedSimd;
-  throw std::invalid_argument("unknown scoring impl '" + std::string(name) +
-                              "' (expected auto, batched-scalar or batched-simd)");
-}
-
 ScoringImpl resolve_scoring_impl(ScoringImpl impl) noexcept {
   if (impl != ScoringImpl::kAuto) return impl;
   return simd_kernel_supported() ? ScoringImpl::kBatchedSimd : ScoringImpl::kBatched;
@@ -63,17 +55,6 @@ std::string_view scoring_impl_name(ScoringImpl impl) noexcept {
       return "batched-simd";
   }
   return "?";
-}
-
-SimdLevel simd_level_for(ScoringImpl impl) {
-  if (resolve_scoring_impl(impl) == ScoringImpl::kBatched) return SimdLevel::kScalar;
-  if (!simd_kernel_supported()) {
-    throw std::invalid_argument(
-        "scoring impl batched-simd requested but the AVX2/FMA kernel is unavailable on this "
-        "host (build with METADOCK_SIMD=ON on x86-64 and run on a CPU with AVX2+FMA, or use "
-        "batched-scalar)");
-  }
-  return SimdLevel::kAvx2;
 }
 
 std::size_t PaddedReceptor::tile_length(std::size_t t) const noexcept {

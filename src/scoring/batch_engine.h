@@ -61,30 +61,21 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2 };
 /// True when `level` can execute on this host (kScalar always can).
 [[nodiscard]] bool simd_level_supported(SimdLevel level) noexcept;
 
-/// Host scoring implementation used behind the evaluators / the virtual
-/// kernels (`--scoring-impl` on the CLI):
+/// Name of the kernel this host runs, for reports:
 ///   kBatched     — the batched engine on the scalar kernel,
 ///   kBatchedSimd — the batched engine on the AVX2/FMA kernel,
-///   kAuto        — kBatchedSimd when the CPU supports it, else kBatched.
+///   kAuto        — whichever default_simd_level() picks.
+/// Nothing selects a kernel with it: both kernels write the same bits and
+/// every engine runs default_simd_level().  It stays only because the
+/// end-to-end benchmark (e2ebench/e2e_bench.cpp) prints
+/// scoring_impl_name(resolve_scoring_impl(kAuto)); it goes with that print.
 enum class ScoringImpl : std::uint8_t { kAuto, kBatched, kBatchedSimd };
 
-/// Parses "auto" | "batched-scalar" (alias "batched") | "batched-simd";
-/// throws std::invalid_argument otherwise.
-[[nodiscard]] ScoringImpl scoring_impl_from(std::string_view name);
-
-/// Resolves kAuto to a concrete implementation for this host:
-/// kBatchedSimd when the AVX2 kernel is compiled in and the CPU supports
-/// it, kBatched otherwise.  Non-auto values pass through unchanged.
+/// Resolves kAuto to kBatchedSimd when the AVX2 kernel is compiled in and
+/// the CPU supports it, kBatched otherwise.  Other values pass through.
 [[nodiscard]] ScoringImpl resolve_scoring_impl(ScoringImpl impl) noexcept;
 
 [[nodiscard]] std::string_view scoring_impl_name(ScoringImpl impl) noexcept;
-
-/// The one ScoringImpl -> kernel mapping: kBatched runs the scalar
-/// kernel, kBatchedSimd the AVX2/FMA one, kAuto whichever
-/// resolve_scoring_impl() picks.  Throws std::invalid_argument for
-/// kBatchedSimd on a host or build without AVX2/FMA — an explicit request
-/// is refused, never silently run on the scalar kernel.
-[[nodiscard]] SimdLevel simd_level_for(ScoringImpl impl);
 
 // ---------------------------------------------------------------------------
 // Lane-padded receptor layout
@@ -126,8 +117,9 @@ struct BatchEngineOptions {
   /// Poses transformed and kept hot per receptor sweep (the CPU analogue of
   /// warps-per-block).  Each pose costs lig_n * 12 bytes of scratch.
   int pose_block = 16;
-  /// Kernel to run; construction throws when kAvx2 is requested on a host
-  /// without AVX2/FMA (simd_level_for() maps a ScoringImpl onto this).
+  /// Kernel to run.  Both write the same bits, so only tests and the
+  /// kernel microbenchmark pick one; construction throws when kAvx2 is
+  /// requested on a host without AVX2/FMA.
   SimdLevel simd = default_simd_level();
 };
 

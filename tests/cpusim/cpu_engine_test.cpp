@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "mol/synth.h"
@@ -61,26 +60,21 @@ TEST(CpuEngine, ScoresMatchDirectScorer) {
   }
 }
 
-TEST(CpuEngine, ExplicitImplRunsItsKernelOrThrows) {
+TEST(CpuEngine, ScoresEqualBatchEngineOnEveryKernel) {
   Fixture f;
   const auto poses = random_poses(25);
-  for (const auto& [impl, simd] :
-       {std::pair{scoring::ScoringImpl::kBatched, scoring::SimdLevel::kScalar},
-        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kAvx2}}) {
-    if (!scoring::simd_level_supported(simd)) {
-      // An explicit batched-simd request is refused, never run on the
-      // scalar kernel.
-      EXPECT_THROW(CpuScoringEngine(xeon_e3_1220(), f.scorer, impl), std::invalid_argument);
-      continue;
-    }
-    CpuScoringEngine engine(xeon_e3_1220(), f.scorer, impl);
-    std::vector<double> out(poses.size());
-    engine.score(scoring::PoseBatch::real(poses, out));
+  CpuScoringEngine engine(xeon_e3_1220(), f.scorer);
+  std::vector<double> out(poses.size());
+  engine.score(scoring::PoseBatch::real(poses, out));
+  // Both kernels compute one evaluation order, so the engine's scores do
+  // not depend on which kernel this host runs.
+  for (const auto simd : {scoring::SimdLevel::kScalar, scoring::SimdLevel::kAvx2}) {
+    if (!scoring::simd_level_supported(simd)) continue;
     scoring::BatchEngineOptions be;
     be.simd = simd;
     const scoring::BatchScoringEngine batched(f.scorer, be);
     for (std::size_t i = 0; i < poses.size(); ++i) {
-      EXPECT_DOUBLE_EQ(out[i], batched.score(poses[i])) << scoring::scoring_impl_name(impl);
+      EXPECT_EQ(out[i], batched.score(poses[i])) << scoring::simd_level_name(simd) << " " << i;
     }
   }
 }

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "gpusim/device_db.h"
@@ -72,30 +71,24 @@ TEST(ScoringKernel, RealScoresMatchDirectScorer) {
   }
 }
 
-TEST(ScoringKernel, ExplicitImplRunsItsKernelOrThrows) {
+TEST(ScoringKernel, ScoresEqualBatchEngineOnEveryKernel) {
   Fixture f;
   Device dev(geforce_gtx580());
   const auto poses = random_poses(9);
-  for (const auto& [impl, simd] :
-       {std::pair{scoring::ScoringImpl::kBatched, scoring::SimdLevel::kScalar},
-        std::pair{scoring::ScoringImpl::kBatchedSimd, scoring::SimdLevel::kAvx2}}) {
-    ScoringKernelOptions opt;
-    opt.impl = impl;
-    if (!scoring::simd_level_supported(simd)) {
-      // An explicit batched-simd request is refused, never run on the
-      // scalar kernel.
-      EXPECT_THROW(DeviceScoringKernel(dev, f.scorer, opt), std::invalid_argument);
-      continue;
-    }
-    DeviceScoringKernel kernel(dev, f.scorer, opt);
-    std::vector<double> gpu(poses.size());
-    kernel.score(scoring::PoseBatch::real(poses, gpu));
+  const ScoringKernelOptions opt;
+  DeviceScoringKernel kernel(dev, f.scorer, opt);
+  std::vector<double> gpu(poses.size());
+  kernel.score(scoring::PoseBatch::real(poses, gpu));
+  // Both kernels compute one evaluation order, so the device's scores do
+  // not depend on which kernel this host runs.
+  for (const auto simd : {scoring::SimdLevel::kScalar, scoring::SimdLevel::kAvx2}) {
+    if (!scoring::simd_level_supported(simd)) continue;
     scoring::BatchEngineOptions be;
     be.pose_block = opt.warps_per_block;
     be.simd = simd;
     const scoring::BatchScoringEngine engine(f.scorer, be);
     for (std::size_t i = 0; i < poses.size(); ++i) {
-      EXPECT_DOUBLE_EQ(gpu[i], engine.score(poses[i])) << scoring::scoring_impl_name(impl);
+      EXPECT_EQ(gpu[i], engine.score(poses[i])) << scoring::simd_level_name(simd) << " " << i;
     }
   }
 }
@@ -111,6 +104,21 @@ TEST(ScoringKernel, CostOnlyAdvancesSameTimeAsRealScore) {
   real_kernel.score(scoring::PoseBatch::real(poses, out));
   cost_kernel.score(scoring::PoseBatch::cost_only(poses.size()));
   EXPECT_DOUBLE_EQ(real_dev.busy_seconds(), cost_dev.busy_seconds());
+}
+
+TEST(ScoringKernel, RoundPriceMatchesClockAdvance) {
+  Fixture f;
+  Device dev(geforce_gtx580());
+  DeviceScoringKernel kernel(dev, f.scorer);
+  for (const std::size_t n : {1u, 37u, 4096u}) {
+    const double price = kernel.round_seconds(n);
+    const double before = dev.busy_seconds();
+    kernel.score(scoring::PoseBatch::cost_only(n));
+    // Three clock operations (upload, kernel, download), each rounded to
+    // the clock's 1 ns step.
+    EXPECT_NEAR(dev.busy_seconds() - before, price, 3e-9) << n;
+    EXPECT_GT(price, kernel.kernel_seconds(n)) << n;
+  }
 }
 
 TEST(ScoringKernel, FailedLaunchWritesNoScore) {

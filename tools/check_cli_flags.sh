@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Every metadock subcommand must refuse a flag it does not read: exit 2
 # with a usage error that names the flag, before doing any work.  A stale
-# flag of a deleted feature (the AVX-512 kernel, the score cache) must
+# flag of a deleted feature (the AVX-512 kernel, the score cache, the
+# host scoring kernel selector) must
 # never be dropped silently.  A negative or over-range count, a NaN range
 # value and an unknown name are usage errors too, never a wrapped size_t
 # or int, a silent fallback, or a failure after the setup.
@@ -46,6 +47,8 @@ expect_unknown scoring-impl tables --which none --scoring-impl auto
 expect_unknown simd-level screen --count 1 --simd-level=avx2
 expect_unknown score-cache screen --score-cache 16
 expect_unknown score-cache dock --score-cache 16
+expect_unknown scoring-impl dock --scoring-impl auto
+expect_unknown scoring-impl screen --count 1 --scoring-impl batched-scalar
 
 expect_negative batch-size screen --count 1 --batch-size -1
 expect_negative count screen --count -1

@@ -20,7 +20,6 @@
 #include "mol/synth.h"
 #include "obs/observer.h"
 #include "sched/executor.h"
-#include "scoring/batch_engine.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "util/json.h"
@@ -113,12 +112,6 @@ using namespace metadock;
                "                         (includes host.pairs_per_second, the real host\n"
                "                         scoring throughput)\n"
                "\n"
-               "host scoring (dock and screen):\n"
-               "  --scoring-impl I       auto|batched-scalar|batched-simd (default auto:\n"
-               "                         batched-simd when the CPU supports AVX2+FMA,\n"
-               "                         else batched-scalar; batched-simd without\n"
-               "                         them is an error)\n"
-               "\n"
                "batch dispatch (dock and screen):\n"
                "  --overlap on|off       double-buffered stream overlap per device slice\n"
                "                         (default on; off reproduces the fully synchronous\n"
@@ -186,7 +179,7 @@ bool observability_requested(const util::ArgParser& args) {
 }
 
 /// The executor options dock and screen read from their flags: fault
-/// injection, host scoring, batch dispatch and observability.
+/// injection, batch dispatch and observability.
 sched::ExecutorOptions exec_flags(const util::ArgParser& args, obs::Observer& observer) {
   sched::ExecutorOptions exec;
   gpusim::FaultPlan& plan = exec.fault_plan;
@@ -199,13 +192,6 @@ sched::ExecutorOptions exec_flags(const util::ArgParser& args, obs::Observer& ob
   exec.fault_policy.max_retries =
       static_cast<int>(count_flag(args, "fault-retries", 3, std::numeric_limits<int>::max()));
   exec.fault_policy.rebalance_batches = count_flag(args, "fault-rebalance", 0);
-
-  if (args.has("scoring-impl")) {
-    exec.kernel.impl = scoring::scoring_impl_from(args.get("scoring-impl"));
-  }
-  // Refuses batched-simd on a host or build without AVX2 up front, rather
-  // than with an exception from deep inside the run.
-  (void)scoring::simd_level_for(exec.kernel.impl);
 
   const std::string overlap = args.get("overlap", std::string("on"));
   if (overlap == "on") {
@@ -575,10 +561,10 @@ struct Command {
 
 std::vector<Command> commands() {
   const std::vector<std::string> obs = {"trace-out", "metrics-out"};
-  // Fault injection, host scoring and batch dispatch: dock and screen.
+  // Fault injection and batch dispatch: dock and screen.
   std::vector<std::string> exec = {"fault-seed", "fault-kill", "fault-transient",
                                    "fault-straggle", "fault-retries", "fault-rebalance",
-                                   "scoring-impl", "overlap", "cpu-tail-share"};
+                                   "overlap", "cpu-tail-share"};
   exec.insert(exec.end(), obs.begin(), obs.end());
   const auto with = [](std::vector<std::string> own, const std::vector<std::string>& shared) {
     own.insert(own.end(), shared.begin(), shared.end());
