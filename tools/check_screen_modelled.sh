@@ -3,16 +3,24 @@
 # below, `screen --count 3 --seed 5 --hits-jsonl F` must write exactly the
 # `index virtual_seconds energy_joules` triples in
 # tools/golden/screen_modelled.txt.  Those fields come from the virtual
-# clock of NodeExecutor::run(), the real-run dispatch path, and do not
-# depend on which host scoring kernel (--scoring-impl) computed the scores.
+# clock of NodeExecutor::run(), the real-run dispatch path.
 # The paper-table golden pins estimate() only; this one pins run().
+#
+# The whole hit stream of the first configuration must also equal
+# tools/golden/screen_hits.jsonl byte for byte.  Both host scoring kernels
+# compute one evaluation order (DESIGN.md §10), so the default and the
+# no-simd builds must both match it; it is never regenerated per host.
 #
 # Usage: tools/check_screen_modelled.sh path/to/metadock [--print]
 #   --print writes the current triples to stdout instead of diffing them.
+#   The hit golden is `screen --count 3 --seed 5 --strategy het
+#   --hits-jsonl tools/golden/screen_hits.jsonl`.
 set -u
 
 bin="$1"
-golden="$(cd "$(dirname "$0")" && pwd)/golden/screen_modelled.txt"
+golden_dir="$(cd "$(dirname "$0")" && pwd)/golden"
+golden="$golden_dir/screen_modelled.txt"
+golden_hits="$golden_dir/screen_hits.jsonl"
 dir="$(mktemp -d)" || exit 1
 trap 'rm -rf "$dir"' EXIT
 
@@ -46,6 +54,11 @@ fi
 emit > "$dir/out.txt" || exit 1
 if ! diff -u "$golden" "$dir/out.txt"; then
   echo "FAIL: screen modelled timeline differs from $golden" >&2
+  exit 1
+fi
+if ! cmp "$golden_hits" "$dir/1.jsonl"; then
+  diff "$golden_hits" "$dir/1.jsonl" | head -6 >&2
+  echo "FAIL: '${configs[0]}' hit stream differs from $golden_hits" >&2
   exit 1
 fi
 echo "check_screen_modelled: OK"
