@@ -118,10 +118,6 @@ double DeviceScoringKernel::kernel_seconds(std::size_t n) const {
          device_.slowdown();
 }
 
-double DeviceScoringKernel::round_seconds(std::size_t n) const {
-  return upload_seconds(n) + kernel_seconds(n) + download_seconds(n);
-}
-
 void DeviceScoringKernel::score(const scoring::PoseBatch& batch) {
   if (batch.n == 0) return;
   device_.copy_to_device(kBytesPerPose * static_cast<double>(batch.n));

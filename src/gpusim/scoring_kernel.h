@@ -67,18 +67,16 @@ class DeviceScoringKernel {
   [[nodiscard]] KernelLaunch launch_config(std::size_t n_poses) const;
   [[nodiscard]] KernelCost cost(std::size_t n_poses) const;
 
-  // Modelled prices, for schedulers weighing dispatch shapes; no clock
-  // moves.  Each equals the clock advance of the matching operation on a
-  // fault-free device, up to the clock's 1 ns rounding per operation.
-  /// One H2D upload of `n` poses.
+  // Modelled seconds of an H2D upload of n poses, a D2H download of n
+  // scores, a kernel over n poses (at the current slowdown) and a whole
+  // synchronous round as score() runs it.  No clock moves; on a fault-free
+  // device each equals the clock advance up to 1 ns per operation.
   [[nodiscard]] double upload_seconds(std::size_t n) const;
-  /// One D2H download of `n` scores.
   [[nodiscard]] double download_seconds(std::size_t n) const;
-  /// One kernel over `n` poses at the device's current slowdown.
   [[nodiscard]] double kernel_seconds(std::size_t n) const;
-  /// One synchronous round of `n` poses, as score() runs it: upload,
-  /// kernel, download.
-  [[nodiscard]] double round_seconds(std::size_t n) const;
+  [[nodiscard]] double round_seconds(std::size_t n) const {
+    return upload_seconds(n) + kernel_seconds(n) + download_seconds(n);
+  }
 
   [[nodiscard]] Device& device() noexcept { return device_; }
   [[nodiscard]] const Device& device() const noexcept { return device_; }

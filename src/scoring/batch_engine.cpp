@@ -113,12 +113,6 @@ namespace detail {
 
 namespace {
 
-/// Sum of eight lane accumulators in the AVX2 kernel's horizontal-sum
-/// tree, widened to double.
-double lane_sum(const std::array<float, kLanes>& a) noexcept {
-  return static_cast<double>(((a[0] + a[4]) + (a[2] + a[6])) + ((a[1] + a[5]) + (a[3] + a[7])));
-}
-
 /// The canonical order of DESIGN.md §10, one lane at a time: slot i feeds
 /// lane i mod 8, and every FMA of the AVX2 kernel is a std::fmaf here, so
 /// both kernels produce the same bits.
@@ -140,7 +134,7 @@ void score_block_tile(const BlockKernelArgs& a) {
         const float dy = a.ry[i] - py;
         const float dz = a.rz[i] - pz;
         float r2 = std::fmaf(dz, dz, std::fmaf(dy, dy, dx * dx));
-        r2 = r2 > kMinR2 ? r2 : kMinR2;  // _mm256_max_ps(r2, kMinR2)
+        r2 = r2 > kMinR2 ? r2 : kMinR2;  // _mm256_max_ps(r2, kMinR2), NaN included
         const float inv2 = 1.0f / r2;
         const float inv6 = (inv2 * inv2) * inv2;
         const float lj = std::fmaf(ca[i], inv6, -cb[i]);
@@ -154,7 +148,9 @@ void score_block_tile(const BlockKernelArgs& a) {
           lane = lane + pair;
         }
       }
-      energy += lane_sum(acc);
+      // The AVX2 kernel's horizontal-sum tree.
+      energy += static_cast<double>(((acc[0] + acc[4]) + (acc[2] + acc[6])) +
+                                    ((acc[1] + acc[5]) + (acc[3] + acc[7])));
     }
     a.energy[p] += energy;
   }

@@ -61,14 +61,9 @@ enum class SimdLevel : std::uint8_t { kScalar, kAvx2 };
 /// True when `level` can execute on this host (kScalar always can).
 [[nodiscard]] bool simd_level_supported(SimdLevel level) noexcept;
 
-/// Name of the kernel this host runs, for reports:
-///   kBatched     — the batched engine on the scalar kernel,
-///   kBatchedSimd — the batched engine on the AVX2/FMA kernel,
-///   kAuto        — whichever default_simd_level() picks.
-/// Nothing selects a kernel with it: both kernels write the same bits and
-/// every engine runs default_simd_level().  It stays only because the
-/// end-to-end benchmark (e2ebench/e2e_bench.cpp) prints
-/// scoring_impl_name(resolve_scoring_impl(kAuto)); it goes with that print.
+/// Kernel names for reports (kBatched = scalar, kBatchedSimd = AVX2/FMA,
+/// kAuto = default_simd_level()).  Nothing selects a kernel with them; they
+/// stay only for e2ebench/e2e_bench.cpp's kernel-name print.
 enum class ScoringImpl : std::uint8_t { kAuto, kBatched, kBatchedSimd };
 
 /// Resolves kAuto to kBatchedSimd when the AVX2 kernel is compiled in and
@@ -144,7 +139,6 @@ class BatchScoringEngine {
   [[nodiscard]] double score(const Pose& pose) const;
 
   [[nodiscard]] const PaddedReceptor& receptor() const noexcept { return receptor_; }
-  [[nodiscard]] SimdLevel simd() const noexcept { return options_.simd; }
   [[nodiscard]] int pose_block() const noexcept { return options_.pose_block; }
   [[nodiscard]] std::uint64_t pairs_per_eval() const noexcept {
     return static_cast<std::uint64_t>(receptor_.size()) * ligand_->size();

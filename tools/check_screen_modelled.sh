@@ -2,19 +2,14 @@
 # Pins the modelled timeline of real screening runs: for each configuration
 # below, `screen --count 3 --seed 5 --hits-jsonl F` must write exactly the
 # `index virtual_seconds energy_joules` triples in
-# tools/golden/screen_modelled.txt.  Those fields come from the virtual
-# clock of NodeExecutor::run(), the real-run dispatch path.
-# The paper-table golden pins estimate() only; this one pins run().
-#
-# The whole hit stream of the first configuration must also equal
-# tools/golden/screen_hits.jsonl byte for byte.  Both host scoring kernels
-# compute one evaluation order (DESIGN.md §10), so the default and the
-# no-simd builds must both match it; it is never regenerated per host.
+# tools/golden/screen_modelled.txt (the virtual clock of NodeExecutor::run();
+# the paper-table golden pins estimate() only).  The first configuration's
+# whole stream must also equal tools/golden/screen_hits.jsonl byte for
+# byte: both host scoring kernels compute one evaluation order (DESIGN.md
+# §10), so every build and host must match it; never regenerate it per host.
 #
 # Usage: tools/check_screen_modelled.sh path/to/metadock [--print]
 #   --print writes the current triples to stdout instead of diffing them.
-#   The hit golden is `screen --count 3 --seed 5 --strategy het
-#   --hits-jsonl tools/golden/screen_hits.jsonl`.
 set -u
 
 bin="$1"
