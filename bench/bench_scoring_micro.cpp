@@ -14,9 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -167,7 +165,7 @@ struct EmitResult {
 /// over windows of at least `min_seconds`.
 template <typename Fn>
 double measure_pairs_per_second(Fn&& fn, double pairs_per_call, double min_seconds) {
-  fn();  // warm the caches and the thread-local scratch
+  fn();  // warm the caches
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     const util::WallTimer timer;
@@ -184,47 +182,22 @@ double measure_pairs_per_second(Fn&& fn, double pairs_per_call, double min_secon
 // ---------------------------------------------------------------------------
 // --emit-json "generation" section: end-to-end metaheuristic throughput
 
-/// The pre-SoA data path, kept as the bench baseline: an AoS-only batched
-/// evaluator.  It does not override evaluate_soa, so the engine's columns
-/// are gathered back into Pose structs before every batch — exactly the
-/// repack the SoA population was introduced to remove.
-class AosBatchedEvaluator final : public meta::Evaluator {
- public:
-  AosBatchedEvaluator(const scoring::LennardJonesScorer& scorer,
-                      scoring::BatchEngineOptions options)
-      : engine_(scorer, options) {}
-
-  void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
-    engine_.score_batch(poses, out);
-  }
-
- private:
-  scoring::BatchScoringEngine engine_;
-};
-
-struct GenerationResult {
-  std::string mode;
-  double evals_per_second = 0.0;
-};
-
 /// Best-of-three end-to-end engine throughput (pose evaluations per second)
-/// over windows of at least `min_seconds`.  A fresh evaluator per run keeps
-/// the modes comparable.
+/// over windows of at least `min_seconds`, a fresh BatchedEvaluator per run.
 double measure_generation_eps(const meta::MetaheuristicEngine& engine,
                               const meta::DockingProblem& problem,
-                              const std::function<std::unique_ptr<meta::Evaluator>()>& make_eval,
-                              double min_seconds) {
+                              const scoring::LennardJonesScorer& scorer, double min_seconds) {
   {
-    auto warm = make_eval();  // warm caches and arenas
-    (void)engine.run(problem, *warm);
+    meta::BatchedEvaluator warm(scorer);  // warm caches
+    (void)engine.run(problem, warm);
   }
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     const util::WallTimer timer;
     std::uint64_t evals = 0;
     while (timer.seconds() < min_seconds) {
-      auto eval = make_eval();
-      evals += engine.run(problem, *eval).evaluations;
+      meta::BatchedEvaluator eval(scorer);
+      evals += engine.run(problem, eval).evaluations;
     }
     best = std::max(best, static_cast<double>(evals) / timer.seconds());
   }
@@ -386,10 +359,8 @@ int emit_json(const std::string& path, double min_seconds) {
                                                 pairs_per_call, min_seconds)});
   }
 
-  // End-to-end generation throughput: the same M1 engine run under two
-  // evaluator configurations.  "batched-aos" is the pre-SoA configuration
-  // (AoS repack + AVX2 when available) and is the speedup baseline;
-  // "batched-soa" adds the columnar population.
+  // End-to-end generation throughput: a small M1 engine run scored by
+  // meta::BatchedEvaluator (the default kernel).
   mol::ReceptorParams grp;
   grp.atom_count = 512;
   const mol::Molecule gen_receptor = mol::make_receptor(grp);
@@ -402,28 +373,11 @@ int emit_json(const std::string& path, double min_seconds) {
   const meta::MetaheuristicEngine gen_engine(gen_params);
   const scoring::LennardJonesScorer gen_scorer(gen_receptor, ligand());
 
-  const scoring::BatchEngineOptions aos_opt;
-
-  std::vector<GenerationResult> gen_results;
-  gen_results.push_back(
-      {"batched-aos",
-       measure_generation_eps(
-           gen_engine, gen_problem,
-           [&] { return std::make_unique<AosBatchedEvaluator>(gen_scorer, aos_opt); },
-           min_seconds)});
-  gen_results.push_back(
-      {"batched-soa",
-       measure_generation_eps(
-           gen_engine, gen_problem,
-           [&] { return std::make_unique<meta::BatchedEvaluator>(gen_scorer); }, min_seconds)});
-  double gen_baseline = 0.0;
-  for (const GenerationResult& r : gen_results) {
-    if (r.mode == "batched-aos") gen_baseline = r.evals_per_second;
-  }
+  const double gen_eps = measure_generation_eps(gen_engine, gen_problem, gen_scorer, min_seconds);
 
   util::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("metadock.bench_scoring/5");
+  w.key("schema").value("metadock.bench_scoring/6");
   w.key("dataset").begin_object();
   w.key("name").value("2BSM-scale synthetic");
   w.key("receptor_atoms").value(std::uint64_t{3264});
@@ -461,14 +415,10 @@ int emit_json(const std::string& path, double min_seconds) {
   w.key("generations").value(static_cast<std::uint64_t>(gen_params.generations));
   w.end_object();
   w.key("results").begin_array();
-  for (const GenerationResult& r : gen_results) {
-    w.begin_object();
-    w.key("mode").value(r.mode);
-    w.key("evals_per_second").value(r.evals_per_second);
-    w.key("speedup_vs_batched_aos")
-        .value(gen_baseline > 0.0 ? r.evals_per_second / gen_baseline : 0.0);
-    w.end_object();
-  }
+  w.begin_object();
+  w.key("mode").value("batched");
+  w.key("evals_per_second").value(gen_eps);
+  w.end_object();
   w.end_array();
   w.end_object();
   emit_overlap_section(w);
@@ -485,10 +435,7 @@ int emit_json(const std::string& path, double min_seconds) {
     std::printf("  %-15s %.3e pairs/s (%.2fx vs batched-scalar)\n", r.impl.c_str(),
                 r.pairs_per_second, scalar_pps > 0.0 ? r.pairs_per_second / scalar_pps : 0.0);
   }
-  for (const GenerationResult& r : gen_results) {
-    std::printf("  gen %-17s %.3e evals/s (%.2fx vs batched-aos)\n", r.mode.c_str(),
-                r.evals_per_second, gen_baseline > 0.0 ? r.evals_per_second / gen_baseline : 0.0);
-  }
+  std::printf("  gen %-17s %.3e evals/s\n", "batched", gen_eps);
   return 0;
 }
 

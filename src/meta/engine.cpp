@@ -5,9 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "meta/population.h"
 #include "meta/sampler.h"
-#include "util/pool.h"
 #include "util/rng.h"
 
 namespace metadock::meta {
@@ -25,30 +23,31 @@ enum StreamTag : std::uint64_t {
 
 struct SpotState {
   const surface::Spot* spot = nullptr;
-  PopulationSoA s;     // S: the reference set (capacity 2*pop for Include's merge)
-  PopulationSoA scom;  // Scom: newly combined elements
+  Population s;     // S: the best pop in front; the back pop slots hold Include's Scom copy
+  Population scom;  // Scom: newly combined elements
 };
 
-/// Gathers pending poses from all spots into SoA staging, evaluates them
-/// in one batch, and scatters scores back via the supplied pointers.  All
-/// storage is carved from the run arena at construction — add()/flush()
-/// allocate nothing.
+/// Gathers pending poses from all spots, evaluates them in one batch, and
+/// scatters scores back via the supplied pointers.  Its buffers are
+/// reserved for max_batch poses at construction, so add()/flush() never
+/// reallocate.
 class BatchCollector {
  public:
-  BatchCollector(Evaluator& eval, RunResult& result, obs::Observer* obs, util::Arena& arena,
-                 std::size_t max_batch)
-      : eval_(eval), result_(result), obs_(obs), staging_(arena, max_batch),
-        outs_(arena, max_batch), scores_(arena.make_span<double>(max_batch)) {}
+  BatchCollector(Evaluator& eval, RunResult& result, obs::Observer* obs, std::size_t max_batch)
+      : eval_(eval), result_(result), obs_(obs), scores_(max_batch) {
+    staging_.reserve(max_batch);
+    outs_.reserve(max_batch);
+  }
 
   void add(const scoring::Pose& pose, double* score_out) {
-    staging_.push(pose);
+    staging_.push_back(pose);
     outs_.push_back(score_out);
   }
 
   void flush() {
     if (staging_.empty()) return;
     const std::size_t n = staging_.size();
-    eval_.evaluate_soa(staging_.view(), scores_.subspan(0, n));
+    eval_.evaluate(staging_, std::span(scores_).first(n));
     for (std::size_t i = 0; i < n; ++i) *outs_[i] = scores_[i];
     result_.evaluations += n;
     result_.batch_sizes.push_back(n);
@@ -64,9 +63,9 @@ class BatchCollector {
   Evaluator& eval_;
   RunResult& result_;
   obs::Observer* obs_;
-  scoring::PoseSoA staging_;
-  util::ArenaVector<double*> outs_;
-  std::span<double> scores_;
+  std::vector<scoring::Pose> staging_;
+  std::vector<double*> outs_;
+  std::vector<double> scores_;
 };
 
 /// RAII span over one engine phase (init / a generation), timed on the
@@ -106,20 +105,19 @@ std::size_t pick_parent(std::size_t pool_size, util::Xoshiro256& rng) {
 }
 
 /// Short-term tabu memory: one fixed-capacity ring of recently-left
-/// positions per improving slot, flat in the arena.  Replaces the old
-/// vector-of-vectors (whose push_back/erase churned the heap every
-/// accepted move) with modular-index writes.
+/// positions per improving slot, in flat arrays sized before the loop, so
+/// an accepted move is a modular-index write.
 struct TabuRings {
-  std::span<geom::Vec3> entries;  // slots * cap
-  std::span<std::uint32_t> start;
-  std::span<std::uint32_t> count;
+  std::vector<geom::Vec3> entries;  // slots * cap
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> count;
   std::size_t cap = 0;
 
-  void bind(util::Arena& arena, std::size_t slots, std::size_t capacity) {
+  void size_for(std::size_t slots, std::size_t capacity) {
     cap = capacity;
-    entries = arena.make_span<geom::Vec3>(slots * capacity);
-    start = arena.make_span<std::uint32_t>(slots);
-    count = arena.make_span<std::uint32_t>(slots);
+    entries.assign(slots * capacity, {});
+    start.assign(slots, 0);
+    count.assign(slots, 0);
   }
 
   void reset() {
@@ -198,41 +196,29 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   const auto improve_count =
       static_cast<std::size_t>(std::lround(params_.improve_fraction * static_cast<double>(pop)));
 
-  // One arena per run backs every piece of loop-transient state below.
-  // Everything is carved out ONCE, before the generation loop; the loop
-  // itself only bumps cursors and writes into fixed columns.
-  util::Arena arena;
-
+  // Every piece of loop state is sized here, ONCE, before the generation
+  // loop; the loop itself only writes into these fixed slots, so the score
+  // pointers handed to the batch collector stay valid.
   std::vector<SpotState> states;
   states.reserve(spot_indices.size());
   for (std::size_t idx : spot_indices) {
     if (idx >= problem.spots.size()) {
       throw std::out_of_range("MetaheuristicEngine::run: spot index out of range");
     }
-    SpotState st;
-    st.spot = &problem.spots[idx];
-    st.s.bind(arena, 2 * pop);  // head-room for Include's elitist merge
-    st.scom.bind(arena, pop);
-    states.push_back(st);
+    states.push_back({&problem.spots[idx], Population(2 * pop), Population(pop)});
   }
 
-  // Shared sorting scratch (argsort indices + scatter destination) and
-  // the improve-phase slots.
-  std::span<std::uint32_t> sort_idx = arena.make_span<std::uint32_t>(2 * pop);
-  PopulationSoA sort_tmp;
-  sort_tmp.bind(arena, 2 * pop);
   const std::size_t improve_slots = states.size() * improve_count;
-  std::span<Individual> proposals = arena.make_span<Individual>(improve_slots);
-  std::span<Individual> slot_best;
+  std::vector<Individual> proposals(improve_slots);
+  std::vector<Individual> slot_best;
   TabuRings tabu;
   if (params_.accept == AcceptRule::kTabu && improve_slots > 0) {
-    slot_best = arena.make_span<Individual>(improve_slots);
-    tabu.bind(arena, improve_slots,
-              static_cast<std::size_t>(std::max(1, params_.tabu_tenure)));
+    slot_best.resize(improve_slots);
+    tabu.size_for(improve_slots, static_cast<std::size_t>(std::max(1, params_.tabu_tenure)));
   }
 
   // Evaluation batches never exceed one pose per individual per spot.
-  BatchCollector batch(eval, result, obs_, arena, states.size() * pop);
+  BatchCollector batch(eval, result, obs_, states.size() * pop);
   result.batch_sizes.reserve(
       1 + static_cast<std::size_t>(params_.generations) *
               (1 + static_cast<std::size_t>(std::max(0, params_.improve_steps))));
@@ -241,21 +227,19 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   {
     PhaseSpan span(obs_, eval, "initialize");
     for (SpotState& st : states) {
-      st.s.set_size(pop);
       for (std::size_t i = 0; i < pop; ++i) {
         auto rng = util::stream(problem.seed, st.spot->id, kTagInit, i);
-        const scoring::Pose pose = initial_pose(*st.spot, problem.ligand_radius, rng);
-        st.s.set_pose(i, pose);
-        batch.add(pose, st.s.score_slot(i));
+        st.s[i].pose = initial_pose(*st.spot, problem.ligand_radius, rng);
+        batch.add(st.s[i].pose, &st.s[i].score);
       }
     }
     batch.flush();
   }
-  for (SpotState& st : states) st.s.sort_by_score(sort_idx, sort_tmp);
+  for (SpotState& st : states) sort_by_score(std::span(st.s).first(pop));
 
   // ---- while no End(S) ----
   // metadock-lint: hot-begin(generation-loop) — MDL007 forbids heap
-  // growth in here; all state lives in the run arena above.
+  // growth in here; all state is sized above.
   double temperature = params_.annealing_t0;
   for (int gen = 0; gen < params_.generations; ++gen) {
     PhaseSpan gen_span(obs_, eval, "generation", static_cast<double>(gen));
@@ -268,25 +252,23 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
 
       // ---- Combine(Ssel, Scom) ----
       for (SpotState& st : states) {
-        st.scom.set_size(pop);
         for (std::size_t i = 0; i < pop; ++i) {
           auto rng = util::stream(problem.seed, st.spot->id, kTagCombine, gen, i);
-          const scoring::Pose pa = st.s.pose(pick_parent(pool, rng));
-          const scoring::Pose pb = st.s.pose(pick_parent(pool, rng));
-          const scoring::Pose child = combine_poses(pa, pb, params_.combine_mutation_t,
-                                                    params_.combine_mutation_r, rng);
-          st.scom.set_pose(i, child);
-          batch.add(child, st.scom.score_slot(i));
+          const scoring::Pose& pa = st.s[pick_parent(pool, rng)].pose;
+          const scoring::Pose& pb = st.s[pick_parent(pool, rng)].pose;
+          st.scom[i].pose = combine_poses(pa, pb, params_.combine_mutation_t,
+                                          params_.combine_mutation_r, rng);
+          batch.add(st.scom[i].pose, &st.scom[i].score);
         }
       }
       batch.flush();
 
       // The improved subset is the best improve_count of Scom (its sorted
       // prefix — slot k improves scom[k]).
-      for (SpotState& st : states) st.scom.sort_by_score(sort_idx, sort_tmp);
+      for (SpotState& st : states) sort_by_score(st.scom);
     } else {
       // Neighbourhood metaheuristic (M4): Improve works on S directly.
-      for (SpotState& st : states) st.scom.copy_from(st.s);
+      for (SpotState& st : states) std::copy_n(st.s.begin(), pop, st.scom.begin());
     }
 
     // ---- Improve(Scom) ---- hill climbing / annealing / tabu search on
@@ -302,7 +284,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
         tabu.reset();
         for (std::size_t si = 0; si < states.size(); ++si) {
           for (std::size_t k = 0; k < improve_count; ++k) {
-            slot_best[si * improve_count + k] = states[si].scom.individual(k);
+            slot_best[si * improve_count + k] = states[si].scom[k];
           }
         }
       }
@@ -313,7 +295,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
             auto rng =
                 util::stream(problem.seed, st.spot->id, kTagImprove, gen, step, k);
             Individual& prop = proposals[si * improve_count + k];
-            prop.pose = perturb_pose(st.scom.pose(k), params_.ls_translate,
+            prop.pose = perturb_pose(st.scom[k].pose, params_.ls_translate,
                                      params_.ls_rotate, rng);
             batch.add(prop.pose, &prop.score);
           }
@@ -323,7 +305,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
           SpotState& st = states[si];
           for (std::size_t k = 0; k < improve_count; ++k) {
             const std::size_t slot = si * improve_count + k;
-            const double cur_score = st.scom.score(k);
+            const double cur_score = st.scom[k].score;
             const Individual& prop = proposals[slot];
             bool accept = prop.score < cur_score;
             if (params_.accept == AcceptRule::kAnnealing && !accept) {
@@ -341,10 +323,10 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
             }
             if (accept) {
               if (params_.accept == AcceptRule::kTabu) {
-                tabu.push(slot, st.scom.pose(k).position);
+                tabu.push(slot, st.scom[k].pose.position);
                 if (prop.score < slot_best[slot].score) slot_best[slot] = prop;
               }
-              st.scom.set_individual(k, prop);
+              st.scom[k] = prop;
             }
           }
         }
@@ -356,9 +338,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
         for (std::size_t si = 0; si < states.size(); ++si) {
           for (std::size_t k = 0; k < improve_count; ++k) {
             const Individual& best = slot_best[si * improve_count + k];
-            if (best.score < states[si].scom.score(k)) {
-              states[si].scom.set_individual(k, best);
-            }
+            if (best.score < states[si].scom[k].score) states[si].scom[k] = best;
           }
         }
       }
@@ -366,15 +346,10 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
 
     // ---- Include(Scom, S) ---- elitist merge, keep the best |S|.
     for (SpotState& st : states) {
-      if (params_.population_based) {
-        st.s.merge_keep_best(st.scom, pop, sort_idx, sort_tmp);
-      } else {
-        // "M4 applies only one step, and so there is no selection of
-        // elements after improving": the improved set replaces S.
-        st.s.copy_from(st.scom);
-        st.s.sort_by_score(sort_idx, sort_tmp);
-      }
-      st.scom.set_size(0);
+      // "M4 applies only one step, and so there is no selection of
+      // elements after improving": M4 keeps none of the old S, so the
+      // sorted improved set replaces it.
+      include_best(st.s, params_.population_based ? pop : 0, st.scom);
     }
   }
   // metadock-lint: hot-end
@@ -384,7 +359,7 @@ RunResult MetaheuristicEngine::run(const DockingProblem& problem, Evaluator& eva
   for (const SpotState& st : states) {
     SpotResult sr;
     sr.spot_id = st.spot->id;
-    sr.best = st.s.individual(0);
+    sr.best = st.s[0];
     if (result.best_spot_id < 0 || better(sr.best, result.best)) {
       result.best = sr.best;
       result.best_spot_id = sr.spot_id;

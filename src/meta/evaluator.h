@@ -7,14 +7,40 @@
 // executors in `sched`.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "scoring/batch_engine.h"
 #include "scoring/lennard_jones.h"
 #include "scoring/pose.h"
-#include "scoring/pose_block.h"
-#include "util/pool.h"
+
+namespace metadock::scoring {
+
+/// Read-only columnar view over `n` poses.  Columns are parallel arrays;
+/// the view does not own them and must not outlive the backing storage.
+struct PoseSoAView {
+  const float* px = nullptr;
+  const float* py = nullptr;
+  const float* pz = nullptr;
+  const float* qw = nullptr;
+  const float* qx = nullptr;
+  const float* qy = nullptr;
+  const float* qz = nullptr;
+  std::size_t n = 0;
+
+  [[nodiscard]] std::size_t size() const { return n; }
+
+  [[nodiscard]] Pose get(std::size_t i) const {
+    Pose p;
+    p.position = {px[i], py[i], pz[i]};
+    p.orientation = {qw[i], qx[i], qy[i], qz[i]};
+    return p;
+  }
+};
+
+}  // namespace metadock::scoring
 
 namespace metadock::meta {
 
@@ -26,17 +52,11 @@ class Evaluator {
   /// the poses — results may not depend on batch splitting.
   virtual void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) = 0;
 
-  /// Columnar entry point: the engine's SoA population feeds batches
-  /// through this.  The default adapter materializes an AoS copy in the
-  /// calling thread's arena and forwards to evaluate(), so existing
-  /// evaluators work unchanged; columnar back-ends (BatchedEvaluator)
-  /// override it to skip the repack.  Overrides MUST score identically
-  /// to evaluate() on the same poses — the batch-engine parity tests
-  /// compare the two entry points bit for bit.
+  /// Columnar adapter: repacks the columns into Pose structs and forwards
+  /// to evaluate().  Nothing in src/ calls it; it stays only because
+  /// e2ebench/e2e_bench.cpp's timing decorator overrides it.
   virtual void evaluate_soa(const scoring::PoseSoAView& poses, std::span<double> out) {
-    util::Arena& arena = util::thread_arena();
-    util::ArenaScope scope(arena);
-    std::span<scoring::Pose> aos = arena.make_span<scoring::Pose>(poses.size());
+    std::vector<scoring::Pose> aos(poses.size());
     for (std::size_t i = 0; i < poses.size(); ++i) aos[i] = poses.get(i);
     evaluate(aos, out);
   }
@@ -78,24 +98,14 @@ class BatchedEvaluator final : public Evaluator {
 
   void evaluate(std::span<const scoring::Pose> poses, std::span<double> out) override {
     engine_.score_batch(poses, out);
-    calls_ += 1;
-    evals_ += poses.size();
-  }
-
-  /// Columns flow straight into the engine — no AoS repack.
-  void evaluate_soa(const scoring::PoseSoAView& poses, std::span<double> out) override {
-    engine_.score_batch(poses, out);
-    calls_ += 1;
     evals_ += poses.size();
   }
 
   [[nodiscard]] const scoring::BatchScoringEngine& engine() const noexcept { return engine_; }
-  [[nodiscard]] std::uint64_t calls() const noexcept { return calls_; }
   [[nodiscard]] std::uint64_t evaluations() const noexcept { return evals_; }
 
  private:
   scoring::BatchScoringEngine engine_;
-  std::uint64_t calls_ = 0;
   std::uint64_t evals_ = 0;
 };
 

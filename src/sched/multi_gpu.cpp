@@ -6,13 +6,10 @@
 
 namespace metadock::sched {
 
-void split_batch_into(std::size_t n, int warps_per_block, std::span<const double> shares,
-                      std::span<std::size_t> counts, util::Arena& scratch) {
+std::vector<std::size_t> split_batch(std::size_t n, int warps_per_block,
+                                     const std::vector<double>& shares) {
   if (shares.empty()) throw std::invalid_argument("split_batch: no shares");
   if (warps_per_block <= 0) throw std::invalid_argument("split_batch: bad block size");
-  if (counts.size() != shares.size()) {
-    throw std::invalid_argument("split_batch_into: counts/shares size mismatch");
-  }
   double sum = 0.0;
   for (double s : shares) {
     if (s < 0.0) throw std::invalid_argument("split_batch: negative share");
@@ -22,12 +19,11 @@ void split_batch_into(std::size_t n, int warps_per_block, std::span<const double
 
   // Apportion whole blocks by largest remainder, then convert to
   // conformations; the final device absorbs the tail block's padding.
-  const util::ArenaScope scope(scratch);
   const auto wpb = static_cast<std::size_t>(warps_per_block);
   const std::size_t total_blocks = (n + wpb - 1) / wpb;
   const std::size_t bins = shares.size();
-  const std::span<std::size_t> blocks = scratch.make_span<std::size_t>(bins);
-  const std::span<double> rema = scratch.make_span<double>(bins);
+  std::vector<std::size_t> blocks(bins);
+  std::vector<double> rema(bins);
   std::size_t assigned = 0;
   for (std::size_t b = 0; b < bins; ++b) {
     const double exact = static_cast<double>(total_blocks) * shares[b] / sum;
@@ -35,7 +31,7 @@ void split_batch_into(std::size_t n, int warps_per_block, std::span<const double
     rema[b] = exact - static_cast<double>(blocks[b]);
     assigned += blocks[b];
   }
-  const std::span<std::size_t> order = scratch.make_span<std::size_t>(bins);
+  std::vector<std::size_t> order(bins);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) { return rema[a] > rema[b]; });
@@ -44,18 +40,13 @@ void split_batch_into(std::size_t n, int warps_per_block, std::span<const double
     ++assigned;
   }
 
+  std::vector<std::size_t> counts(bins);
   std::size_t given = 0;
   for (std::size_t b = 0; b < bins; ++b) {
     counts[b] = std::min(blocks[b] * wpb, n - given);
     given += counts[b];
   }
-}
-
-std::vector<std::size_t> split_batch(std::size_t n, int warps_per_block,
-                                     const std::vector<double>& shares) {
-  std::vector<std::size_t> confs(shares.size(), 0);
-  split_batch_into(n, warps_per_block, shares, confs, util::thread_arena());
-  return confs;
+  return counts;
 }
 
 MultiGpuBatchScorer::MultiGpuBatchScorer(gpusim::Runtime& rt,
@@ -131,7 +122,7 @@ void MultiGpuBatchScorer::quarantine(std::size_t d) {
                      rt_.device(static_cast<int>(d)).busy_seconds());
 }
 
-void MultiGpuBatchScorer::alive_into(util::ArenaVector<std::size_t>& out) const {
+void MultiGpuBatchScorer::alive_into(std::vector<std::size_t>& out) const {
   out.clear();
   for (std::size_t d = 0; d < quarantined_.size(); ++d) {
     if (!quarantined_[d]) out.push_back(d);
@@ -284,15 +275,14 @@ std::size_t MultiGpuBatchScorer::run_overlapped(std::size_t d, const scoring::Po
 void MultiGpuBatchScorer::maybe_rebalance() {
   if (options_.dynamic || options_.faults.rebalance_batches == 0) return;
   if (++batches_dispatched_ % options_.faults.rebalance_batches != 0) return;
-  const util::ArenaScope scope(arena_);
-  util::ArenaVector<std::size_t> alive(arena_, quarantined_.size());
+  std::vector<std::size_t> alive;
   alive_into(alive);
   if (alive.size() < 2) return;
   // Only rebalance from a complete observation window: every survivor must
   // have scored something since the last rebalance, else throughputs are
   // not comparable.
   double sum = 0.0;
-  const std::span<double> throughput = arena_.make_span<double>(alive.size());
+  std::vector<double> throughput(alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     const std::size_t d = alive[i];
     if (window_confs_[d] == 0 || window_seconds_[d] <= 0.0) return;
@@ -315,12 +305,7 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
   if (n == 0) return;
   const double batch_start_s = node_seconds_;
   const auto n_dev = kernels_.size();
-  // All per-batch bookkeeping (device snapshots, slice worklist, split
-  // weights/counts) is carved from the member arena and released at the
-  // end of the batch: after the first batch warms the chunks, dispatch()
-  // performs zero heap allocations.
-  const util::ArenaScope batch_scope(arena_);
-  const std::span<double> before = arena_.make_span<double>(n_dev);
+  std::vector<double> before(n_dev);
   for (std::size_t d = 0; d < n_dev; ++d) {
     before[d] = rt_.device(static_cast<int>(d)).busy_seconds();
   }
@@ -351,8 +336,7 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
     }
   }
 
-  const std::span<std::size_t> confs_before = arena_.make_span<std::size_t>(n_dev);
-  std::copy(device_confs_.begin(), device_confs_.end(), confs_before.begin());
+  const std::vector<std::size_t> confs_before = device_confs_;
   if (!overlapped) {
     // Algorithm 2: "Host_To_GPU(Scom, Stmp)" — the whole batch is uploaded
     // to every live GPU before each device launches on its stride.  The
@@ -370,19 +354,16 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
   // starts from chunk_blocks-sized chunks.  A device that fails a slice is
   // quarantined and the undone rest goes back on the list, to be placed on
   // the survivors (a re-split) or, once none is left, on the CPU fallback.
-  // Each push after the initial ones follows a quarantine, and a device is
-  // quarantined at most once, so n_dev extra slots bound the list.
   const auto wpb = static_cast<std::size_t>(options_.kernel.warps_per_block);
   const std::size_t chunk =
       options_.dynamic ? std::max<std::size_t>(1, options_.chunk_blocks) * wpb : head;
-  util::ArenaVector<Slice> pending(arena_, (head + chunk - 1) / chunk + n_dev);
+  std::vector<Slice> pending;
   for (std::size_t lo = 0; lo < head; lo += chunk) {
     pending.push_back({lo, std::min(chunk, head - lo)});
   }
   std::reverse(pending.begin(), pending.end());  // pop_back walks ascending
-  util::ArenaVector<std::size_t> alive(arena_, n_dev);
-  const std::span<double> weights_buf = arena_.make_span<double>(n_dev);
-  const std::span<std::size_t> counts_buf = arena_.make_span<std::size_t>(n_dev);
+  std::vector<std::size_t> alive;
+  std::vector<std::size_t> counts;
   while (!pending.empty()) {
     const Slice slice = pending.back();
     pending.pop_back();
@@ -395,7 +376,6 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
       }
       continue;
     }
-    std::span<std::size_t> counts = counts_buf.first(1);
     if (options_.dynamic) {
       // The whole chunk goes to the live device whose virtual clock is
       // lowest (the one that would request work first), after the pull's
@@ -408,21 +388,18 @@ void MultiGpuBatchScorer::dispatch(const scoring::PoseBatch& batch) {
         }
       }
       rt_.device(static_cast<int>(d)).advance_seconds(kPullLatencySeconds);
-      alive.clear();  // from here on: the devices the slice is placed on
-      alive.push_back(d);
-      counts[0] = slice.count;
+      alive = {d};  // from here on: the devices the slice is placed on
+      counts = {slice.count};
     } else {
       // Static shares: split across the survivors, their shares
       // renormalized (equal weights once every share is zero).
-      const std::span<double> weights = weights_buf.first(alive.size());
-      std::fill(weights.begin(), weights.end(), 1.0);
+      std::vector<double> weights(alive.size(), 1.0);
       double wsum = 0.0;
       for (std::size_t i = 0; i < alive.size(); ++i) wsum += shares_[alive[i]];
       if (wsum > 0.0) {
         for (std::size_t i = 0; i < alive.size(); ++i) weights[i] = shares_[alive[i]];
       }
-      counts = counts_buf.first(alive.size());
-      split_batch_into(slice.count, options_.kernel.warps_per_block, weights, counts, arena_);
+      counts = split_batch(slice.count, options_.kernel.warps_per_block, weights);
     }
     std::size_t offset = slice.offset;
     std::size_t scored = 0;  // poses of this slice whose scores reached the host

@@ -46,6 +46,7 @@
 #include <cstddef>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cpusim/cpu_engine.h"
@@ -55,7 +56,6 @@
 #include "obs/observer.h"
 #include "sched/fault.h"
 #include "scoring/lennard_jones.h"
-#include "util/pool.h"
 #include "util/sync.h"
 
 namespace metadock::sched {
@@ -100,12 +100,6 @@ struct MultiGpuOptions {
 /// (largest-remainder on blocks).
 [[nodiscard]] std::vector<std::size_t> split_batch(std::size_t n, int warps_per_block,
                                                    const std::vector<double>& shares);
-
-/// Allocation-free core of split_batch: writes per-device counts into
-/// `counts` (size must equal shares.size()); working buffers come from
-/// `scratch` (LIFO-released before returning).
-void split_batch_into(std::size_t n, int warps_per_block, std::span<const double> shares,
-                      std::span<std::size_t> counts, util::Arena& scratch);
 
 class MultiGpuBatchScorer final : public meta::Evaluator {
  public:
@@ -222,7 +216,7 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
 
   void quarantine(std::size_t d) REQUIRES(serial_);
   /// Refills `out` with the indices of non-quarantined devices.
-  void alive_into(util::ArenaVector<std::size_t>& out) const REQUIRES(serial_);
+  void alive_into(std::vector<std::size_t>& out) const REQUIRES(serial_);
   /// Ensures the CPU fallback engine exists (throws AllDevicesLostError
   /// when no fallback CPU was configured).
   cpusim::CpuScoringEngine& engage_cpu() REQUIRES(serial_);
@@ -242,11 +236,6 @@ class MultiGpuBatchScorer final : public meta::Evaluator {
   std::vector<std::size_t> device_confs_ GUARDED_BY(serial_);
   double node_seconds_ GUARDED_BY(serial_) = 0.0;
 
-  /// Backs all per-batch scratch in dispatch() (slice worklist, shares,
-  /// split counts, device snapshots).  The scorer is single-threaded per
-  /// the Evaluator contract, so a member arena is thread-confined; each
-  /// dispatch() opens an ArenaScope, so steady state allocates nothing.
-  util::Arena arena_;
   FaultReport faults_ GUARDED_BY(serial_);
   std::optional<cpusim::CpuScoringEngine> cpu_;
   /// Separate engine for the concurrent tail partition: the fallback engine

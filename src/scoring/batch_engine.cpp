@@ -9,7 +9,6 @@
 
 #include "mol/atom.h"
 #include "scoring/pair_params.h"
-#include "util/pool.h"
 
 namespace metadock::scoring {
 
@@ -187,28 +186,22 @@ BatchScoringEngine::BatchScoringEngine(const LennardJonesScorer& scorer,
   }
 }
 
-template <typename PoseAt>
-void BatchScoringEngine::score_block_impl(PoseAt&& pose_at, std::size_t n, double* out) const {
-  // Scratch comes from the calling thread's arena: zero heap traffic per
-  // block after the arena warms up, and thread confinement keeps this
-  // safe without synchronization.
-  util::Arena& arena = util::thread_arena();
-  util::ArenaScope scope(arena);
+void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out,
+                                     std::span<float> scratch) const {
   const std::size_t lig_n = ligand_->size();
-  std::span<float> lx = arena.make_span<float>(n * lig_n);
-  std::span<float> ly = arena.make_span<float>(n * lig_n);
-  std::span<float> lz = arena.make_span<float>(n * lig_n);
+  float* lx = scratch.data();
+  float* ly = lx + scratch.size() / 3;
+  float* lz = ly + scratch.size() / 3;
   for (std::size_t p = 0; p < n; ++p) {
-    detail::transform_ligand(*ligand_, pose_at(p), lx.data() + p * lig_n, ly.data() + p * lig_n,
-                             lz.data() + p * lig_n);
+    detail::transform_ligand(*ligand_, poses[p], lx + p * lig_n, ly + p * lig_n, lz + p * lig_n);
   }
   std::fill(out, out + n, 0.0);
 
   detail::BlockKernelArgs args;
   args.column = receptor_.column.data();
-  args.lx = lx.data();
-  args.ly = ly.data();
-  args.lz = lz.data();
+  args.lx = lx;
+  args.ly = ly;
+  args.lz = lz;
   args.lcharge = ligand_->charge.data();
   args.lig_n = lig_n;
   args.n_poses = n;
@@ -234,36 +227,21 @@ void BatchScoringEngine::score_block_impl(PoseAt&& pose_at, std::size_t n, doubl
   }
 }
 
-void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* out) const {
-  score_block_impl([poses](std::size_t p) { return poses[p]; }, n, out);
-}
-
 void BatchScoringEngine::score_batch(std::span<const Pose> poses, std::span<double> out) const {
   if (poses.size() != out.size()) {
     throw std::invalid_argument("BatchScoringEngine::score_batch: size mismatch");
   }
   const auto block = static_cast<std::size_t>(options_.pose_block);
+  std::vector<float> scratch(3 * std::min(block, poses.size()) * ligand_->size());
   for (std::size_t base = 0; base < poses.size(); base += block) {
     const std::size_t n = std::min(block, poses.size() - base);
-    score_block(poses.data() + base, n, out.data() + base);
-  }
-}
-
-void BatchScoringEngine::score_batch(const PoseSoAView& poses, std::span<double> out) const {
-  if (poses.size() != out.size()) {
-    throw std::invalid_argument("BatchScoringEngine::score_batch: size mismatch");
-  }
-  const auto block = static_cast<std::size_t>(options_.pose_block);
-  for (std::size_t base = 0; base < poses.size(); base += block) {
-    const std::size_t n = std::min(block, poses.size() - base);
-    score_block_impl([&poses, base](std::size_t p) { return poses.get(base + p); }, n,
-                     out.data() + base);
+    score_block(poses.data() + base, n, out.data() + base, scratch);
   }
 }
 
 double BatchScoringEngine::score(const Pose& pose) const {
   double out = 0.0;
-  score_block(&pose, 1, &out);
+  score_batch({&pose, 1}, {&out, 1});
   return out;
 }
 

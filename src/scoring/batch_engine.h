@@ -35,7 +35,6 @@
 
 #include "scoring/lennard_jones.h"
 #include "scoring/pose.h"
-#include "scoring/pose_block.h"
 
 namespace metadock::scoring {
 
@@ -126,14 +125,9 @@ class BatchScoringEngine {
   explicit BatchScoringEngine(const LennardJonesScorer& scorer, BatchEngineOptions options = {});
 
   /// Scores every pose into out (same indexing), pose_block poses at a
-  /// time.  Thread-safe: scratch lives in the calling thread's arena
-  /// (util::thread_arena), shared state is const.
+  /// time.  Thread-safe: the transformed-ligand scratch is local to the
+  /// call, shared state is const.
   void score_batch(std::span<const Pose> poses, std::span<double> out) const;
-
-  /// Columnar entry point: identical math and blocking, but poses are
-  /// read straight out of SoA columns with no gather/repack.  Produces
-  /// bit-identical results to the AoS overload (same kernel, same order).
-  void score_batch(const PoseSoAView& poses, std::span<double> out) const;
 
   /// Single-pose convenience (a block of one).
   [[nodiscard]] double score(const Pose& pose) const;
@@ -145,9 +139,10 @@ class BatchScoringEngine {
   }
 
  private:
-  void score_block(const Pose* poses, std::size_t n, double* out) const;
-  template <typename PoseAt>
-  void score_block_impl(PoseAt&& pose_at, std::size_t n, double* out) const;
+  /// Scores one block of n poses.  `scratch` holds the block's transformed
+  /// ligand as three equal x/y/z thirds of at least n * lig_n floats each.
+  void score_block(const Pose* poses, std::size_t n, double* out,
+                   std::span<float> scratch) const;
 
   const LigandAtoms* ligand_;
   ScoringOptions scoring_;

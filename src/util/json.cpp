@@ -404,6 +404,8 @@ double JsonValue::as_double() const {
 
 std::int64_t JsonValue::as_int64() const {
   const double v = as_double();
+  // Range first: converting a double outside [-2^63, 2^63) is undefined.
+  if (!(v >= -0x1p63 && v < 0x1p63)) throw std::logic_error("JsonValue: integer out of range");
   const auto i = static_cast<std::int64_t>(v);
   if (static_cast<double>(i) != v) throw std::logic_error("JsonValue: not an integer");
   return i;

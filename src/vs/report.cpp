@@ -1,5 +1,9 @@
 #include "vs/report.h"
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+
 #include "util/json.h"
 
 namespace metadock::vs {
@@ -7,6 +11,16 @@ namespace metadock::vs {
 using util::JsonWriter;
 
 namespace {
+
+/// An int-sized JSON integer no smaller than `min`; throws otherwise, so a
+/// resume stream never narrows an out-of-range value into a valid one.
+int int_at_least(const util::JsonValue& v, int min) {
+  const std::int64_t i = v.as_int64();
+  if (i < min || i > std::numeric_limits<int>::max()) {
+    throw std::out_of_range("hit record: integer out of range");
+  }
+  return static_cast<int>(i);
+}
 
 void emit_faults(JsonWriter& w, const sched::FaultReport& f) {
   w.key("faults").begin_object();
@@ -88,7 +102,7 @@ LigandHit hit_from_json(const util::JsonValue& record) {
   h.ligand_index = record.at("index").as_uint64();
   h.ligand_name = record.at("ligand").as_string();
   h.best_score = record.at("best_energy").as_double();
-  h.best_spot_id = static_cast<int>(record.at("spot").as_int64());
+  h.best_spot_id = int_at_least(record.at("spot"), -1);
   const util::JsonValue& pose = record.at("pose");
   h.best_pose.position.x = static_cast<float>(pose.at("x").as_double());
   h.best_pose.position.y = static_cast<float>(pose.at("y").as_double());
@@ -109,7 +123,7 @@ LigandHit hit_from_json(const util::JsonValue& record) {
     h.faults.degraded_to_cpu = f->at("degraded_to_cpu").as_bool();
     h.faults.devices_lost = f->at("devices_lost").as_uint64();
     for (const util::JsonValue& d : f->at("lost_devices").as_array()) {
-      h.faults.lost_devices.push_back(static_cast<int>(d.as_int64()));
+      h.faults.lost_devices.push_back(int_at_least(d, 0));
     }
   }
   return h;

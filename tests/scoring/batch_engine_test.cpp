@@ -16,7 +16,6 @@
 
 #include "mol/synth.h"
 #include "scoring/pair_params.h"
-#include "util/pool.h"
 #include "util/rng.h"
 
 namespace metadock::scoring {
@@ -255,31 +254,6 @@ TEST(PaddedReceptor, PairsPerEvalCountsRealAtomsOnly) {
       EXPECT_EQ(engine.pairs_per_eval(), atoms * 13u);
       EXPECT_EQ(engine.pairs_per_eval(), scorer.pairs_per_eval());
       EXPECT_GE(engine.receptor().padded_size(), atoms);
-    }
-  }
-}
-
-TEST(PaddedReceptor, AosAndSoaEntryPointsAreBitIdentical) {
-  const mol::Molecule rec = make_receptor(333);
-  const mol::Molecule lig = make_ligand(13);
-  for (bool coulomb : {false, true}) {
-    ScoringOptions opt;
-    opt.coulomb = coulomb;
-    opt.cutoff = coulomb ? 7.0f : 0.0f;
-    opt.tile_size = 17;
-    const LennardJonesScorer scorer(rec, lig, opt);
-    const auto poses = random_poses(37, 9);
-    util::Arena arena;
-    PoseSoA soa(arena, poses.size());
-    for (const Pose& p : poses) soa.push(p);
-    for (SimdLevel level : runnable_levels()) {
-      const BatchScoringEngine engine = make_engine(scorer, level);
-      std::vector<double> aos(poses.size()), columnar(poses.size());
-      engine.score_batch(poses, aos);
-      engine.score_batch(soa.view(), columnar);
-      for (std::size_t i = 0; i < poses.size(); ++i) {
-        EXPECT_EQ(aos[i], columnar[i]) << simd_level_name(level) << " pose " << i;
-      }
     }
   }
 }

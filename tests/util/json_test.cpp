@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -189,6 +190,18 @@ TEST(JsonReader, TypeMismatchThrows) {
   EXPECT_THROW((void)v.at("n").as_int64(), std::logic_error);  // non-integral
   EXPECT_THROW((void)JsonValue::parse("-3").as_uint64(), std::logic_error);
   EXPECT_THROW((void)v.as_array(), std::logic_error);
+}
+
+TEST(JsonReader, OutOfRangeIntegersThrow) {
+  // Each of these lies outside [-2^63, 2^63); converting it to int64 would
+  // be undefined behaviour, so as_int64 must refuse it before the cast.
+  for (const char* text : {"1e30", "-1e30", "9.3e18", "-9.3e18", "9223372036854775808"}) {
+    EXPECT_THROW((void)JsonValue::parse(text).as_int64(), std::logic_error) << text;
+    EXPECT_THROW((void)JsonValue::parse(text).as_uint64(), std::logic_error) << text;
+  }
+  EXPECT_EQ(JsonValue::parse("-9223372036854775808").as_int64(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(JsonValue::parse("9223372036854774784").as_int64(), 9223372036854774784);
 }
 
 TEST(JsonReader, DeepNestingIsRejectedNotCrashing) {

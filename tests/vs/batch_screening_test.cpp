@@ -360,6 +360,38 @@ TEST(BatchScreening, ReadJsonlHitsStopsAtTornTail) {
   std::remove(path.c_str());
 }
 
+TEST(BatchScreening, ReadJsonlHitsRefusesOutOfRangeSpot) {
+  // 2^32 narrowed to int is spot 0: the record must be refused as corrupt
+  // instead of resuming a hit at the wrong spot.
+  const std::string path = temp_path("spot_range.jsonl");
+  LigandHit b = hit_of(1, -2.0);
+  b.best_spot_id = 3;
+  std::string line_b = hit_to_json_line(b);
+  const std::size_t at = line_b.find("\"spot\":3,");
+  ASSERT_NE(at, std::string::npos) << line_b;
+  line_b.replace(at, 9, "\"spot\":4294967296,");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << hit_to_json_line(hit_of(0, -1.0)) << '\n' << line_b << '\n';
+  }
+  const ResumeState state = read_jsonl_hits(path);
+  ASSERT_EQ(state.hits.size(), 1u);
+  EXPECT_EQ(state.hits[0].ligand_index, 0u);
+  EXPECT_EQ(state.discarded_lines, 1u);
+  std::remove(path.c_str());
+
+  // A lost-device ordinal must be a non-negative int too.
+  LigandHit f = hit_of(2, -3.0);
+  f.faults.devices_lost = 1;
+  f.faults.lost_devices = {1};
+  std::string line_f = hit_to_json_line(f);
+  const std::size_t dev = line_f.find("\"lost_devices\":[1]");
+  ASSERT_NE(dev, std::string::npos) << line_f;
+  EXPECT_NO_THROW((void)hit_from_json(util::JsonValue::parse(line_f)));
+  line_f.replace(dev, 18, "\"lost_devices\":[-1]");
+  EXPECT_THROW((void)hit_from_json(util::JsonValue::parse(line_f)), std::exception);
+}
+
 // The headline acceptance test: a run killed after batch k, resumed with
 // resume=true, must produce a byte-identical JSONL stream and a
 // bit-identical retained hit list versus an uninterrupted run — and must
