@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks of the real host scoring paths: the
-// reference loop, the Coulomb extension, the batched engine (scalar and
-// SIMD), the grid scorer, and the end-to-end engine generation.  These
-// measure real wall-clock on the build host (not virtual time) — they are
-// how the CPU-side implementation itself is kept honest.
+// reference loop, the batched engine (scalar and SIMD), the grid scorer,
+// and the end-to-end engine generation.  These measure real wall-clock on
+// the build host (not virtual time) — they are how the CPU-side
+// implementation itself is kept honest.
 //
 // Besides the google-benchmark mode, `--emit-json=PATH` runs a fixed
 // comparison of the LJ implementations at 2BSM scale (3264 x 45) and
@@ -79,19 +79,6 @@ void BM_ScoreReference(benchmark::State& state) {
                           static_cast<std::int64_t>(scorer.pairs_per_eval()));
 }
 BENCHMARK(BM_ScoreReference)->Arg(512)->Arg(3264)->Arg(8609);
-
-void BM_ScoreWithCoulomb(benchmark::State& state) {
-  scoring::ScoringOptions opt;
-  opt.coulomb = true;
-  const scoring::LennardJonesScorer scorer(receptor(3264), ligand(), opt);
-  const scoring::Pose pose = sample_pose(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scorer.score(pose));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(scorer.pairs_per_eval()));
-}
-BENCHMARK(BM_ScoreWithCoulomb);
 
 void BM_BatchEngine(benchmark::State& state) {
   const scoring::LennardJonesScorer scorer(receptor(3264), ligand());

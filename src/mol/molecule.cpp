@@ -7,15 +7,13 @@ void Molecule::reserve(std::size_t n) {
   y_.reserve(n);
   z_.reserve(n);
   elements_.reserve(n);
-  charges_.reserve(n);
 }
 
-void Molecule::add_atom(Element e, const geom::Vec3& pos, float charge) {
+void Molecule::add_atom(Element e, const geom::Vec3& pos) {
   x_.push_back(pos.x);
   y_.push_back(pos.y);
   z_.push_back(pos.z);
   elements_.push_back(e);
-  charges_.push_back(charge);
 }
 
 std::vector<geom::Vec3> Molecule::positions() const {

@@ -30,7 +30,7 @@ class Molecule {
   [[nodiscard]] bool empty() const noexcept { return x_.empty(); }
 
   void reserve(std::size_t n);
-  void add_atom(Element e, const geom::Vec3& pos, float charge = 0.0f);
+  void add_atom(Element e, const geom::Vec3& pos);
 
   [[nodiscard]] geom::Vec3 position(std::size_t i) const { return {x_[i], y_[i], z_[i]}; }
   void set_position(std::size_t i, const geom::Vec3& p) {
@@ -39,13 +39,11 @@ class Molecule {
     z_[i] = p.z;
   }
   [[nodiscard]] Element element(std::size_t i) const { return elements_[i]; }
-  [[nodiscard]] float charge(std::size_t i) const { return charges_[i]; }
 
   [[nodiscard]] std::span<const float> xs() const noexcept { return x_; }
   [[nodiscard]] std::span<const float> ys() const noexcept { return y_; }
   [[nodiscard]] std::span<const float> zs() const noexcept { return z_; }
   [[nodiscard]] std::span<const Element> elements() const noexcept { return elements_; }
-  [[nodiscard]] std::span<const float> charges() const noexcept { return charges_; }
 
   /// All positions as a vector (copies; for grid building etc.).
   [[nodiscard]] std::vector<geom::Vec3> positions() const;
@@ -66,8 +64,9 @@ class Molecule {
   /// centered so a conformation's position/orientation act about the center.
   void center_at_origin();
 
-  /// Total memory footprint of the coordinate+type payload, used by the
-  /// device model for host<->device transfer costs.
+  /// Modelled transfer size of the atoms in the paper's GPU layout: three
+  /// coordinates, a fourth float and the element per atom (17 bytes, as
+  /// scoring::kModelBytesPerReceptorAtom), not this class's own footprint.
   [[nodiscard]] std::size_t payload_bytes() const noexcept {
     return size() * (3 * sizeof(float) + sizeof(float) + sizeof(Element));
   }
@@ -76,7 +75,6 @@ class Molecule {
   std::string name_;
   std::vector<float> x_, y_, z_;
   std::vector<Element> elements_;
-  std::vector<float> charges_;
 };
 
 }  // namespace metadock::mol

@@ -36,23 +36,6 @@ Element sample_protein_element(Xoshiro256& rng) {
   return Element::kC;
 }
 
-/// Typical partial charge magnitude per element (very rough; enough to give
-/// the optional Coulomb term a realistic scale).
-float sample_charge(Element e, Xoshiro256& rng) {
-  switch (e) {
-    case Element::kO:
-      return static_cast<float>(rng.uniform(-0.65, -0.35));
-    case Element::kN:
-      return static_cast<float>(rng.uniform(-0.55, -0.25));
-    case Element::kH:
-      return static_cast<float>(rng.uniform(0.05, 0.35));
-    case Element::kS:
-      return static_cast<float>(rng.uniform(-0.25, 0.05));
-    default:
-      return static_cast<float>(rng.uniform(-0.15, 0.15));
-  }
-}
-
 Vec3 random_in_unit_sphere(Xoshiro256& rng) {
   for (;;) {
     const Vec3 p{static_cast<float>(rng.uniform(-1.0, 1.0)),
@@ -109,8 +92,8 @@ Molecule make_receptor(const ReceptorParams& params) {
     const Vec3 p = random_in_unit_sphere(rng) * radius;
     if (grid.has_point_closer_than(p, static_cast<float>(params.min_spacing))) continue;
     grid.insert(p, static_cast<std::uint32_t>(mol.size()));
-    const Element e = sample_protein_element(rng);
-    mol.add_atom(e, p, sample_charge(e, rng));
+    mol.add_atom(sample_protein_element(rng), p);
+    (void)rng.uniform();  // former charge draw: keeps the synthetic geometry fixed
   }
   mol.center_at_origin();
   return mol;
@@ -152,13 +135,16 @@ Molecule make_ligand(const LigandParams& params) {
   for (const Vec3& p : heavy) {
     // Heavy-atom mix for small molecules: mostly carbon.
     const double u = rng.uniform();
-    const Element e = u < 0.70 ? Element::kC : (u < 0.85 ? Element::kN : Element::kO);
-    mol.add_atom(e, p, sample_charge(e, rng));
+    mol.add_atom(u < 0.70 ? Element::kC : (u < 0.85 ? Element::kN : Element::kO), p);
+    (void)rng.uniform();  // former charge draw: keeps the synthetic geometry fixed
   }
   for (std::size_t i = 0; i < h_count; ++i) {
     const Vec3& host = heavy[rng.below(heavy.size())];
-    mol.add_atom(Element::kH, host + random_unit_vector(rng) * 1.05f,
-                 sample_charge(Element::kH, rng));
+    // Former charge draw, which GCC made before the direction's draws (it
+    // evaluated add_atom's arguments right to left): keeps the synthetic
+    // geometry fixed.
+    (void)rng.uniform();
+    mol.add_atom(Element::kH, host + random_unit_vector(rng) * 1.05f);
   }
   mol.center_at_origin();
   return mol;

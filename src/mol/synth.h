@@ -32,8 +32,8 @@ struct LigandParams {
 };
 
 /// Generates a globular receptor: `atom_count` atoms packed inside a sphere
-/// at protein density, protein-like element frequencies, small partial
-/// charges.  Deterministic in the seed.  Centered at the origin.
+/// at protein density, protein-like element frequencies.  Deterministic in
+/// the seed.  Centered at the origin.
 [[nodiscard]] Molecule make_receptor(const ReceptorParams& params);
 
 /// Generates a drug-like ligand: a self-avoiding heavy-atom chain/branch

@@ -77,12 +77,10 @@ PaddedReceptor PaddedReceptor::build(const ReceptorAtoms& receptor, const Ligand
   out.x.assign(padded, 0.0f);
   out.y.assign(padded, 0.0f);
   out.z.assign(padded, 0.0f);
-  out.charge.assign(padded, 0.0f);
   for (std::size_t i = 0; i < out.atoms; ++i) {
     out.x[slot(i)] = receptor.x[i];
     out.y[slot(i)] = receptor.y[i];
     out.z[slot(i)] = receptor.z[i];
-    out.charge[slot(i)] = receptor.charge[i];
   }
 
   // One (A, B) column pair per element present in the ligand.
@@ -114,8 +112,14 @@ namespace {
 
 /// The canonical order of DESIGN.md §10, one lane at a time: slot i feeds
 /// lane i mod 8, and every FMA of the AVX2 kernel is a std::fmaf here, so
-/// both kernels produce the same bits.
-template <bool kCoulomb, bool kCutoff>
+/// both kernels produce the same bits.  On x86-64 GCC each instantiation
+/// also gets an FMA clone picked at load time: there std::fmaf is one
+/// vfmadd instead of a libm call, and since fmaf is correctly rounded
+/// either way no bit moves.
+template <bool kCutoff>
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+__attribute__((target_clones("fma", "default")))
+#endif
 void score_block_tile(const BlockKernelArgs& a) {
   for (std::size_t p = 0; p < a.n_poses; ++p) {
     const float* lx = a.lx + p * a.lig_n;
@@ -126,7 +130,6 @@ void score_block_tile(const BlockKernelArgs& a) {
       const float px = lx[j], py = ly[j], pz = lz[j];
       const float* ca = a.ra + a.column[j];
       const float* cb = a.rb + a.column[j];
-      const float qscale = kCoulomb ? kCoulombConst * a.lcharge[j] / a.dielectric : 0.0f;
       std::array<float, kLanes> acc{};
       for (std::size_t i = 0; i < a.n; ++i) {
         const float dx = a.rx[i] - px;
@@ -138,13 +141,10 @@ void score_block_tile(const BlockKernelArgs& a) {
         const float inv6 = (inv2 * inv2) * inv2;
         const float lj = std::fmaf(ca[i], inv6, -cb[i]);
         float& lane = acc[i % kLanes];
-        if constexpr (!kCoulomb && !kCutoff) {
-          lane = std::fmaf(lj, inv6, lane);
+        if constexpr (kCutoff) {
+          lane = lane + (r2 <= a.cutoff2 ? lj * inv6 : 0.0f);
         } else {
-          float pair = lj * inv6;
-          if constexpr (kCoulomb) pair = std::fmaf(qscale * a.rcharge[i], inv2, pair);
-          if constexpr (kCutoff) pair = r2 <= a.cutoff2 ? pair : 0.0f;
-          lane = lane + pair;
+          lane = std::fmaf(lj, inv6, lane);
         }
       }
       // The AVX2 kernel's horizontal-sum tree.
@@ -158,12 +158,7 @@ void score_block_tile(const BlockKernelArgs& a) {
 }  // namespace
 
 void score_block_tile_scalar(const BlockKernelArgs& a) {
-  const bool cut = a.cutoff2 > 0.0f;
-  if (a.coulomb) {
-    cut ? score_block_tile<true, true>(a) : score_block_tile<true, false>(a);
-  } else {
-    cut ? score_block_tile<false, true>(a) : score_block_tile<false, false>(a);
-  }
+  a.cutoff2 > 0.0f ? score_block_tile<true>(a) : score_block_tile<false>(a);
 }
 
 }  // namespace detail
@@ -202,11 +197,8 @@ void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* o
   args.lx = lx;
   args.ly = ly;
   args.lz = lz;
-  args.lcharge = ligand_->charge.data();
   args.lig_n = lig_n;
   args.n_poses = n;
-  args.coulomb = scoring_.coulomb;
-  args.dielectric = scoring_.dielectric;
   args.cutoff2 = scoring_.cutoff * scoring_.cutoff;
   args.energy = out;
 
@@ -219,7 +211,6 @@ void BatchScoringEngine::score_block(const Pose* poses, std::size_t n, double* o
     args.rx = receptor_.x.data() + begin;
     args.ry = receptor_.y.data() + begin;
     args.rz = receptor_.z.data() + begin;
-    args.rcharge = receptor_.charge.data() + begin;
     args.ra = receptor_.a.data() + begin;
     args.rb = receptor_.b.data() + begin;
     args.n = receptor_.tile_length(t);

@@ -83,9 +83,9 @@ inline constexpr std::size_t kLanes = 8;
 /// tail.  For every element that occurs in the ligand, `a`/`b` hold one
 /// column of LJ coefficients aligned with the atoms: ligand atom j reads its
 /// (A, B) against receptor slot i at a[column[j] + i], b[column[j] + i].
-/// Padding slots have A = B = charge = 0, so each adds exactly 0.
+/// Padding slots have A = B = 0, so each adds exactly 0.
 struct PaddedReceptor {
-  std::vector<float> x, y, z, charge;
+  std::vector<float> x, y, z;
   std::vector<float> a, b;
   /// Per ligand atom: offset of its element's coefficient column.
   std::vector<std::uint32_t> column;
@@ -164,7 +164,6 @@ struct BlockKernelArgs {
   const float* rx = nullptr;
   const float* ry = nullptr;
   const float* rz = nullptr;
-  const float* rcharge = nullptr;
   const float* ra = nullptr;
   const float* rb = nullptr;
   std::size_t n = 0;
@@ -172,11 +171,8 @@ struct BlockKernelArgs {
   const float* lx = nullptr;
   const float* ly = nullptr;
   const float* lz = nullptr;
-  const float* lcharge = nullptr;
   std::size_t lig_n = 0;
   std::size_t n_poses = 0;
-  bool coulomb = false;
-  float dielectric = 4.0f;
   float cutoff2 = 0.0f;
   double* energy = nullptr;
 };

@@ -13,13 +13,12 @@
 // pair, and every fused multiply-add spelled as an intrinsic.  The build
 // adds -ffp-contract=off, so the compiler fuses nothing the source does
 // not name and the portable scalar kernel (batch_engine.cpp) reproduces
-// these bits exactly.  Tiles are padded to a multiple of 8 with
-// A = B = charge = 0, so there is no scalar tail and padding lanes add
-// exactly 0.
+// these bits exactly.  Tiles are padded to a multiple of 8 with A = B = 0,
+// so there is no scalar tail and padding lanes add exactly 0.
 //
-// The coulomb and cutoff flags are hoisted out of the hot loop via
-// template parameters: the common full-pair-sum case (no cutoff, LJ only)
-// runs with zero per-iteration branching or masking.
+// The cutoff flag is hoisted out of the hot loop via a template parameter:
+// the common full-pair-sum case (no cutoff) runs with zero per-iteration
+// branching or masking.
 #include "scoring/batch_engine.h"
 
 #if defined(METADOCK_SIMD_AVX2)
@@ -45,7 +44,7 @@ inline double hsum(__m256 v) noexcept {
   return static_cast<double>(_mm_cvtss_f32(s));
 }
 
-template <bool kCoulomb, bool kCutoff>
+template <bool kCutoff>
 void score_block_tile(const BlockKernelArgs& a) {
   const __m256 vmin_r2 = _mm256_set1_ps(kMinR2);
   const __m256 vcut2 = _mm256_set1_ps(a.cutoff2);
@@ -62,9 +61,6 @@ void score_block_tile(const BlockKernelArgs& a) {
       const __m256 vpz = _mm256_set1_ps(lz[j]);
       const float* ca = a.ra + a.column[j];
       const float* cb = a.rb + a.column[j];
-      const float qscale =
-          kCoulomb ? kCoulombConst * a.lcharge[j] / a.dielectric : 0.0f;
-      const __m256 vqscale = _mm256_set1_ps(qscale);
       __m256 vsum = _mm256_setzero_ps();
       for (std::size_t i = 0; i < a.n; i += kLanes) {
         const __m256 dx = _mm256_sub_ps(_mm256_loadu_ps(a.rx + i), vpx);
@@ -76,18 +72,11 @@ void score_block_tile(const BlockKernelArgs& a) {
         const __m256 inv6 = _mm256_mul_ps(_mm256_mul_ps(inv2, inv2), inv2);
         const __m256 lj =
             _mm256_fmsub_ps(_mm256_loadu_ps(ca + i), inv6, _mm256_loadu_ps(cb + i));
-        if constexpr (!kCoulomb && !kCutoff) {
-          vsum = _mm256_fmadd_ps(lj, inv6, vsum);
+        if constexpr (kCutoff) {
+          const __m256 pair = _mm256_mul_ps(lj, inv6);
+          vsum = _mm256_add_ps(vsum, _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ)));
         } else {
-          __m256 pair = _mm256_mul_ps(lj, inv6);
-          if constexpr (kCoulomb) {
-            const __m256 q = _mm256_mul_ps(vqscale, _mm256_loadu_ps(a.rcharge + i));
-            pair = _mm256_fmadd_ps(q, inv2, pair);
-          }
-          if constexpr (kCutoff) {
-            pair = _mm256_and_ps(pair, _mm256_cmp_ps(r2, vcut2, _CMP_LE_OQ));
-          }
-          vsum = _mm256_add_ps(vsum, pair);
+          vsum = _mm256_fmadd_ps(lj, inv6, vsum);
         }
       }
       energy += hsum(vsum);
@@ -99,12 +88,7 @@ void score_block_tile(const BlockKernelArgs& a) {
 }  // namespace
 
 void score_block_tile_avx2(const BlockKernelArgs& a) {
-  const bool cut = a.cutoff2 > 0.0f;
-  if (a.coulomb) {
-    cut ? score_block_tile<true, true>(a) : score_block_tile<true, false>(a);
-  } else {
-    cut ? score_block_tile<false, true>(a) : score_block_tile<false, false>(a);
-  }
+  a.cutoff2 > 0.0f ? score_block_tile<true>(a) : score_block_tile<false>(a);
 }
 
 }  // namespace detail

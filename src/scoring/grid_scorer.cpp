@@ -9,19 +9,21 @@
 
 namespace metadock::scoring {
 
-namespace {
-constexpr float kMinR2 = 0.01f;
-constexpr float kCoulombConst = 332.0637f;
-}  // namespace
-
 GridScorer::GridScorer(const mol::Molecule& receptor, const mol::Molecule& ligand,
                        GridScorerOptions options)
     : options_(options), ligand_(LigandAtoms::from(ligand)) {
   if (receptor.empty() || ligand.empty()) {
     throw std::invalid_argument("GridScorer: receptor and ligand must be non-empty");
   }
-  if (options_.spacing <= 0.0f || options_.cutoff <= 0.0f || options_.padding < 0.0f) {
-    throw std::invalid_argument("GridScorer: spacing/cutoff must be positive");
+  // The negated forms also refuse NaN.
+  if (!(options_.spacing > 0.0f)) {
+    throw std::invalid_argument("GridScorer: spacing must be positive");
+  }
+  if (!(options_.cutoff > 0.0f)) {
+    throw std::invalid_argument("GridScorer: cutoff must be positive");
+  }
+  if (!(options_.padding >= 0.0f)) {
+    throw std::invalid_argument("GridScorer: padding must be >= 0");
   }
 
   box_ = receptor.bounds();
@@ -46,7 +48,6 @@ GridScorer::GridScorer(const mol::Molecule& receptor, const mol::Molecule& ligan
       ++grids_used_;
     }
   }
-  if (options_.coulomb) electro_grid_.assign(grid_points(), 0.0f);
 
   // Fill all grids in one sweep over lattice nodes: gather the receptor
   // atoms within the cutoff once per node, then accumulate every probe.
@@ -59,7 +60,7 @@ GridScorer::GridScorer(const mol::Molecule& receptor, const mol::Molecule& ligan
         const std::size_t node =
             (static_cast<std::size_t>(iz) * ny_ + iy) * nx_ + static_cast<std::size_t>(ix);
         cells.for_each_within(p, options_.cutoff, [&](std::uint32_t id, const geom::Vec3& a) {
-          const float r2 = std::max(p.distance2(a), kMinR2);
+          const float r2 = std::max(p.distance2(a), detail::kMinR2);
           if (r2 > cutoff2) return;
           const float inv2 = 1.0f / r2;
           const float inv6 = inv2 * inv2 * inv2;
@@ -69,10 +70,6 @@ GridScorer::GridScorer(const mol::Molecule& receptor, const mol::Molecule& ligan
             if (grid.empty()) continue;
             const PairCoeff& c = table.get(static_cast<mol::Element>(t), re);
             grid[node] += (c.a * inv6 - c.b) * inv6;
-          }
-          if (options_.coulomb) {
-            electro_grid_[node] +=
-                kCoulombConst * receptor.charge(id) * inv2 / options_.dielectric;
           }
         });
       }
@@ -123,11 +120,7 @@ double GridScorer::score_transformed(const float* tx, const float* ty, const flo
   for (std::size_t j = 0; j < ligand_.size(); ++j) {
     const geom::Vec3 p{tx[j], ty[j], tz[j]};
     bool outside = false;
-    double e = sample(type_grids_[ligand_.type[j]], p, outside);
-    if (options_.coulomb && !outside) {
-      bool out2 = false;
-      e += static_cast<double>(ligand_.charge[j]) * sample(electro_grid_, p, out2);
-    }
+    const double e = sample(type_grids_[ligand_.type[j]], p, outside);
     energy += outside ? options_.out_of_box_penalty : e;
   }
   return energy;

@@ -4,8 +4,7 @@
 //
 // The receptor's interaction field is precomputed once per probe element on
 // a regular lattice: G_t(x) = sum over receptor atoms of LJ(t, type_i,
-// |x - x_i|) within a cutoff, plus one electrostatic grid for the Coulomb
-// term.  Scoring a pose then costs O(ligand atoms) trilinear interpolations
+// |x - x_i|) within a cutoff.  Scoring a pose then costs O(ligand atoms) trilinear interpolations
 // instead of O(receptor x ligand) pair evaluations — the classic
 // memory-for-compute trade of docking codes.  Accuracy degrades near steep
 // repulsive walls (finite lattice spacing), which the tests quantify.
@@ -32,9 +31,6 @@ struct GridScorerOptions {
   /// Pair interactions beyond this distance are dropped (the r^-6 tail at
   /// 8 A is < 2% of the well depth for typical parameters).
   float cutoff = 8.0f;
-  /// Include the electrostatic grid.
-  bool coulomb = false;
-  float dielectric = 4.0f;
   /// Energy assigned per ligand atom that leaves the grid box.
   double out_of_box_penalty = 1e4;
 };
@@ -63,7 +59,7 @@ class GridScorer {
 
   /// Grid memory footprint in bytes (what a device would have to hold).
   [[nodiscard]] std::size_t payload_bytes() const noexcept {
-    return grid_points() * sizeof(float) * (grids_used_ + (options_.coulomb ? 1 : 0));
+    return grid_points() * sizeof(float) * grids_used_;
   }
 
  private:
@@ -81,7 +77,6 @@ class GridScorer {
   int nx_ = 0, ny_ = 0, nz_ = 0;
   /// One grid per element index (empty for elements absent from ligands).
   std::array<std::vector<float>, static_cast<std::size_t>(mol::kElementCount)> type_grids_;
-  std::vector<float> electro_grid_;
   std::size_t grids_used_ = 0;
   LigandAtoms ligand_;
 };

@@ -9,31 +9,29 @@ namespace {
 
 template <typename Mol>
 void fill_soa(const Mol& m, std::vector<float>& x, std::vector<float>& y, std::vector<float>& z,
-              std::vector<std::uint8_t>& type, std::vector<float>& charge) {
+              std::vector<std::uint8_t>& type) {
   const std::size_t n = m.size();
   x.resize(n);
   y.resize(n);
   z.resize(n);
   type.resize(n);
-  charge.resize(n);
   std::copy(m.xs().begin(), m.xs().end(), x.begin());
   std::copy(m.ys().begin(), m.ys().end(), y.begin());
   std::copy(m.zs().begin(), m.zs().end(), z.begin());
   for (std::size_t i = 0; i < n; ++i) type[i] = static_cast<std::uint8_t>(m.element(i));
-  std::copy(m.charges().begin(), m.charges().end(), charge.begin());
 }
 
 }  // namespace
 
 LigandAtoms LigandAtoms::from(const mol::Molecule& ligand) {
   LigandAtoms out;
-  fill_soa(ligand, out.x, out.y, out.z, out.type, out.charge);
+  fill_soa(ligand, out.x, out.y, out.z, out.type);
   return out;
 }
 
 ReceptorAtoms ReceptorAtoms::from(const mol::Molecule& receptor) {
   ReceptorAtoms out;
-  fill_soa(receptor, out.x, out.y, out.z, out.type, out.charge);
+  fill_soa(receptor, out.x, out.y, out.z, out.type);
   return out;
 }
 
@@ -47,6 +45,9 @@ LennardJonesScorer::LennardJonesScorer(const mol::Molecule& receptor, const mol:
   }
   if (options_.tile_size <= 0) {
     throw std::invalid_argument("LennardJonesScorer: tile_size must be positive");
+  }
+  if (!(0.0f <= options_.cutoff)) {
+    throw std::invalid_argument("LennardJonesScorer: cutoff must be >= 0 (0 = no cutoff)");
   }
 }
 
@@ -76,7 +77,6 @@ double LennardJonesScorer::score(const Pose& pose) const {
   for (std::size_t j = 0; j < ligand_.size(); ++j) {
     const float px = tx[j], py = ty[j], pz = tz[j];
     const PairCoeff* row = table.row(static_cast<mol::Element>(ligand_.type[j]));
-    const float qj = ligand_.charge[j];
     double e = 0.0;
     for (std::size_t i = 0; i < receptor_.size(); ++i) {
       const float dx = receptor_.x[i] - px;
@@ -86,11 +86,7 @@ double LennardJonesScorer::score(const Pose& pose) const {
       const float inv2 = 1.0f / r2;
       const float inv6 = inv2 * inv2 * inv2;
       const PairCoeff& c = row[receptor_.type[i]];
-      float pair = (c.a * inv6 - c.b) * inv6;
-      if (options_.coulomb) {
-        // Distance-dependent dielectric: eps(r) = dielectric * r.
-        pair += detail::kCoulombConst * qj * receptor_.charge[i] * inv2 / options_.dielectric;
-      }
+      const float pair = (c.a * inv6 - c.b) * inv6;
       // Branchless cutoff keeps the loop vectorizable.
       e += (cutoff2 <= 0.0f || r2 <= cutoff2) ? pair : 0.0f;
     }

@@ -1,6 +1,6 @@
 // The paper's scoring function: Lennard-Jones free energy of a posed ligand
-// against the whole receptor, optionally with a Coulomb (electrostatic)
-// term.  score() is the straightforward reference loop: the test oracle
+// against the whole receptor, with no electrostatic term (the paper's
+// choice).  score() is the straightforward reference loop: the test oracle
 // for the batched engine (scoring/batch_engine.h), which is the one host
 // path behind every evaluator and virtual kernel.
 //
@@ -22,19 +22,16 @@ namespace metadock::scoring {
 /// GPU cost models so their ratio — the speed-up the paper reports — only
 /// depends on modeled hardware throughput, not on bookkeeping choices.
 inline constexpr double kModelFlopsPerPair = 16.0;
-/// Modeled bytes per receptor atom (x, y, z, charge as floats plus the type
-/// byte, padded): what the GPU kernel streams, the CPU model caches and the
-/// cluster broadcasts.
+/// Modeled bytes per receptor atom (four floats plus the type byte): the
+/// paper's GPU record, which the GPU kernel streams, the CPU model caches
+/// and the cluster broadcasts.  It models that layout, not this host's, so
+/// host layout choices never move a modelled time.
 inline constexpr double kModelBytesPerReceptorAtom = 17.0;
 
 struct ScoringOptions {
-  /// Include the Coulomb term (paper's scoring uses plain LJ "for
-  /// simplicity"; the electrostatic term is the documented extension).
-  bool coulomb = false;
-  /// Distance-dependent dielectric constant for the Coulomb term.
-  float dielectric = 4.0f;
   /// Interaction cutoff in Angstrom; 0 means every pair counts (the
   /// paper's full pair sum).  A finite cutoff matches the grid scorer.
+  /// Negative and NaN values are refused.
   float cutoff = 0.0f;
   /// Receptor tile size of the batched engine's lane-padded layout, in
   /// atoms.  256 atoms of (x,y,z,type) is ~4 KB — comfortably a
@@ -47,7 +44,6 @@ struct ScoringOptions {
 struct LigandAtoms {
   std::vector<float> x, y, z;
   std::vector<std::uint8_t> type;
-  std::vector<float> charge;
 
   static LigandAtoms from(const mol::Molecule& ligand);
   [[nodiscard]] std::size_t size() const noexcept { return x.size(); }
@@ -57,7 +53,6 @@ struct LigandAtoms {
 struct ReceptorAtoms {
   std::vector<float> x, y, z;
   std::vector<std::uint8_t> type;
-  std::vector<float> charge;
 
   static ReceptorAtoms from(const mol::Molecule& receptor);
   [[nodiscard]] std::size_t size() const noexcept { return x.size(); }
@@ -95,9 +90,6 @@ namespace detail {
 /// initialization; every pair loop clamps r^2 so the r^-12 wall stays
 /// finite.  Shared by all scoring paths (reference, batched, grid).
 inline constexpr float kMinR2 = 0.01f;
-
-/// Coulomb constant in kcal*Angstrom/(mol*e^2).
-inline constexpr float kCoulombConst = 332.0637f;
 
 /// Applies `pose` to every ligand atom, writing receptor-space coordinates
 /// into tx/ty/tz (each at least lig.size() floats).  The shared

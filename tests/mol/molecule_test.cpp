@@ -9,9 +9,9 @@ namespace {
 
 Molecule three_atoms() {
   Molecule m("m");
-  m.add_atom(Element::kC, {0, 0, 0}, 0.1f);
-  m.add_atom(Element::kO, {3, 0, 0}, -0.5f);
-  m.add_atom(Element::kN, {0, 3, 0}, -0.3f);
+  m.add_atom(Element::kC, {0, 0, 0});
+  m.add_atom(Element::kO, {3, 0, 0});
+  m.add_atom(Element::kN, {0, 3, 0});
   return m;
 }
 
@@ -20,7 +20,6 @@ TEST(Molecule, SizeAndAccessors) {
   EXPECT_EQ(m.size(), 3u);
   EXPECT_FALSE(m.empty());
   EXPECT_EQ(m.element(1), Element::kO);
-  EXPECT_FLOAT_EQ(m.charge(1), -0.5f);
   EXPECT_EQ(m.position(2), geom::Vec3(0, 3, 0));
   EXPECT_EQ(m.name(), "m");
 }

@@ -117,6 +117,20 @@ TEST(SynthReceptor, ImpossiblePackingFailsLoudly) {
   EXPECT_THROW((void)make_receptor(p), std::runtime_error);
 }
 
+TEST(SynthReceptor, GeometryIsPinned) {
+  // Exact atoms of the 2BSM receptor.  Every golden hit stream depends on
+  // them, so a change to the generator's RNG draw sequence fails here
+  // first, not only in the end-to-end goldens.
+  const Molecule m = make_dataset_receptor(kDataset2BSM);
+  ASSERT_EQ(m.size(), 3264u);
+  EXPECT_EQ(m.position(0), geom::Vec3(1.68057704f, 2.85030031f, -13.2731419f));
+  EXPECT_EQ(m.element(0), Element::kC);
+  EXPECT_EQ(m.position(1632), geom::Vec3(16.7908611f, -4.55552006f, 3.81880331f));
+  EXPECT_EQ(m.element(1632), Element::kH);
+  EXPECT_EQ(m.position(3263), geom::Vec3(-8.70454884f, 3.37858176f, 14.1460123f));
+  EXPECT_EQ(m.element(3263), Element::kC);
+}
+
 TEST(SynthLigand, ExactAtomCount) {
   LigandParams p;
   p.atom_count = 45;
@@ -156,6 +170,20 @@ TEST(SynthLigand, IsCompact) {
   LigandParams p;
   p.atom_count = 45;
   EXPECT_LT(make_ligand(p).radius_about_centroid(), 20.0f);
+}
+
+TEST(SynthLigand, GeometryIsPinned) {
+  LigandParams p;
+  p.atom_count = 45;
+  p.seed = 7;
+  const Molecule m = make_ligand(p);
+  ASSERT_EQ(m.size(), 45u);
+  EXPECT_EQ(m.position(0), geom::Vec3(0.795917511f, -0.862007856f, -0.27538982f));
+  EXPECT_EQ(m.element(0), Element::kO);
+  EXPECT_EQ(m.position(22), geom::Vec3(0.6494838f, -2.82579803f, -1.82769787f));
+  EXPECT_EQ(m.element(22), Element::kC);
+  EXPECT_EQ(m.position(44), geom::Vec3(-3.36197472f, 0.292374492f, 0.73662591f));
+  EXPECT_EQ(m.element(44), Element::kH);
 }
 
 class DatasetTest : public ::testing::TestWithParam<Dataset> {};

@@ -89,12 +89,10 @@ TEST(PaddedReceptor, TilesKeepAtomOrderAndPadEachTileToLanes) {
         EXPECT_EQ(pr.x[s], receptor.x[i]);
         EXPECT_EQ(pr.y[s], receptor.y[i]);
         EXPECT_EQ(pr.z[s], receptor.z[i]);
-        EXPECT_EQ(pr.charge[s], receptor.charge[i]);
       }
-      // Padding slots carry no charge and no LJ coefficients in any column.
+      // Padding slots carry no LJ coefficients in any column.
       for (std::size_t s = 0; s < pr.padded_size(); ++s) {
         if (real[s] != 0) continue;
-        EXPECT_EQ(pr.charge[s], 0.0f);
         for (std::uint32_t col : pr.column) {
           EXPECT_EQ(pr.a[col + s], 0.0f);
           EXPECT_EQ(pr.b[col + s], 0.0f);
@@ -169,11 +167,11 @@ TEST(PaddedReceptor, LigandElementAbsentFromReceptor) {
   // The synthetic receptor is H/C/N/O/S only; halogens and P get columns
   // that exist for this ligand alone.
   mol::Molecule lig("halogens");
-  lig.add_atom(mol::Element::kBr, {0.0f, 0.0f, 0.0f}, -0.1f);
-  lig.add_atom(mol::Element::kCl, {1.8f, 0.0f, 0.0f}, -0.2f);
-  lig.add_atom(mol::Element::kF, {0.0f, 1.4f, 0.0f}, -0.3f);
-  lig.add_atom(mol::Element::kP, {0.0f, 0.0f, 1.6f}, 0.4f);
-  lig.add_atom(mol::Element::kC, {1.0f, 1.0f, 1.0f}, 0.1f);
+  lig.add_atom(mol::Element::kBr, {0.0f, 0.0f, 0.0f});
+  lig.add_atom(mol::Element::kCl, {1.8f, 0.0f, 0.0f});
+  lig.add_atom(mol::Element::kF, {0.0f, 1.4f, 0.0f});
+  lig.add_atom(mol::Element::kP, {0.0f, 0.0f, 1.6f});
+  lig.add_atom(mol::Element::kC, {1.0f, 1.0f, 1.0f});
   const mol::Molecule rec = make_receptor(257);
   const ReceptorAtoms receptor = ReceptorAtoms::from(rec);
   for (mol::Element e : {mol::Element::kBr, mol::Element::kCl, mol::Element::kF,
@@ -181,9 +179,7 @@ TEST(PaddedReceptor, LigandElementAbsentFromReceptor) {
     ASSERT_EQ(std::count(receptor.type.begin(), receptor.type.end(), static_cast<std::uint8_t>(e)),
               0);
   }
-  ScoringOptions opt;
-  opt.coulomb = true;
-  const LennardJonesScorer scorer(rec, lig, opt);
+  const LennardJonesScorer scorer(rec, lig);
   const auto poses = random_poses(17, 31);
   for (SimdLevel level : runnable_levels()) {
     const BatchScoringEngine engine = make_engine(scorer, level);
@@ -205,39 +201,36 @@ TEST(PaddedReceptor, PaddingLanesAddExactlyZeroUnderCutoff) {
   // kernels mask to +0.  Padding must contribute exactly what masked-out
   // real pairs do, so both receptors score bit-identically.
   mol::Molecule near("near");
-  near.add_atom(mol::Element::kC, {3.0f, 0.0f, 0.0f}, 0.2f);
-  near.add_atom(mol::Element::kN, {0.0f, 3.5f, 0.0f}, -0.4f);
-  near.add_atom(mol::Element::kO, {0.0f, 0.0f, -4.0f}, -0.5f);
-  near.add_atom(mol::Element::kH, {-2.5f, 1.0f, 0.0f}, 0.3f);
-  near.add_atom(mol::Element::kS, {6.0f, 6.0f, 0.0f}, -0.1f);
+  near.add_atom(mol::Element::kC, {3.0f, 0.0f, 0.0f});
+  near.add_atom(mol::Element::kN, {0.0f, 3.5f, 0.0f});
+  near.add_atom(mol::Element::kO, {0.0f, 0.0f, -4.0f});
+  near.add_atom(mol::Element::kH, {-2.5f, 1.0f, 0.0f});
+  near.add_atom(mol::Element::kS, {6.0f, 6.0f, 0.0f});
   mol::Molecule far = near;
   far.set_name("far");
-  far.add_atom(mol::Element::kC, {90.0f, 0.0f, 0.0f}, 0.5f);
-  far.add_atom(mol::Element::kO, {0.0f, -95.0f, 0.0f}, -0.6f);
-  far.add_atom(mol::Element::kN, {0.0f, 0.0f, 99.0f}, 0.7f);
+  far.add_atom(mol::Element::kC, {90.0f, 0.0f, 0.0f});
+  far.add_atom(mol::Element::kO, {0.0f, -95.0f, 0.0f});
+  far.add_atom(mol::Element::kN, {0.0f, 0.0f, 99.0f});
   const mol::Molecule lig = make_ligand(6);
-  for (bool coulomb : {false, true}) {
-    ScoringOptions opt;
-    opt.cutoff = 8.0f;
-    opt.coulomb = coulomb;
-    opt.tile_size = 8;
-    const LennardJonesScorer near_scorer(near, lig, opt);
-    const LennardJonesScorer far_scorer(far, lig, opt);
-    std::vector<Pose> poses = random_poses(16, 3);
-    for (Pose& p : poses) p.position = p.position * 0.1f;  // stay near the atoms
-    for (SimdLevel level : runnable_levels()) {
-      const BatchScoringEngine near_engine = make_engine(near_scorer, level);
-      const BatchScoringEngine far_engine = make_engine(far_scorer, level);
-      ASSERT_EQ(near_engine.receptor().padded_size(), kLanes);
-      ASSERT_EQ(far_engine.receptor().padded_size(), kLanes);
-      std::vector<double> near_e(poses.size()), far_e(poses.size());
-      near_engine.score_batch(poses, near_e);
-      far_engine.score_batch(poses, far_e);
-      for (std::size_t i = 0; i < poses.size(); ++i) {
-        EXPECT_EQ(near_e[i], far_e[i]) << simd_level_name(level) << " pose " << i;
-        EXPECT_NE(near_e[i], 0.0) << "pose " << i << " must see in-cutoff pairs";
-        expect_close(near_e[i], near_scorer.score(poses[i]), "near-vs-reference", i);
-      }
+  ScoringOptions opt;
+  opt.cutoff = 8.0f;
+  opt.tile_size = 8;
+  const LennardJonesScorer near_scorer(near, lig, opt);
+  const LennardJonesScorer far_scorer(far, lig, opt);
+  std::vector<Pose> poses = random_poses(16, 3);
+  for (Pose& p : poses) p.position = p.position * 0.1f;  // stay near the atoms
+  for (SimdLevel level : runnable_levels()) {
+    const BatchScoringEngine near_engine = make_engine(near_scorer, level);
+    const BatchScoringEngine far_engine = make_engine(far_scorer, level);
+    ASSERT_EQ(near_engine.receptor().padded_size(), kLanes);
+    ASSERT_EQ(far_engine.receptor().padded_size(), kLanes);
+    std::vector<double> near_e(poses.size()), far_e(poses.size());
+    near_engine.score_batch(poses, near_e);
+    far_engine.score_batch(poses, far_e);
+    for (std::size_t i = 0; i < poses.size(); ++i) {
+      EXPECT_EQ(near_e[i], far_e[i]) << simd_level_name(level) << " pose " << i;
+      EXPECT_NE(near_e[i], 0.0) << "pose " << i << " must see in-cutoff pairs";
+      expect_close(near_e[i], near_scorer.score(poses[i]), "near-vs-reference", i);
     }
   }
 }
@@ -267,7 +260,6 @@ struct KernelCase {
   const char* name;
   std::size_t receptor_atoms;
   std::size_t ligand_atoms;
-  bool coulomb;
   float cutoff;
   int tile_size;
 };
@@ -280,7 +272,6 @@ class BatchEquivalence : public ::testing::TestWithParam<KernelCase> {};
 TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
   const KernelCase& c = GetParam();
   ScoringOptions opt;
-  opt.coulomb = c.coulomb;
   opt.cutoff = c.cutoff;
   opt.tile_size = c.tile_size;
   const LennardJonesScorer scorer(make_receptor(c.receptor_atoms), make_ligand(c.ligand_atoms),
@@ -316,22 +307,20 @@ TEST_P(BatchEquivalence, ScalarSimdAndReferenceAgree) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BatchEquivalence,
     ::testing::Values(
-        // Coulomb x cutoff at the default tile.
-        KernelCase{"lj_nocut_tile256", 333, 13, false, 0.0f, 256},
-        KernelCase{"coulomb_nocut_tile256", 333, 13, true, 0.0f, 256},
-        KernelCase{"lj_cut_tile256", 333, 13, false, 8.0f, 256},
-        KernelCase{"coulomb_cut_tile256", 333, 13, true, 8.0f, 256},
+        // Cutoff on and off at the default tile.
+        KernelCase{"lj_nocut_tile256", 333, 13, 0.0f, 256},
+        KernelCase{"lj_cut_tile256", 333, 13, 8.0f, 256},
         // Tile sizes.
-        KernelCase{"lj_nocut_tile1", 333, 13, false, 0.0f, 1},
-        KernelCase{"lj_nocut_tile17", 333, 13, false, 0.0f, 17},
-        KernelCase{"coulomb_cut_tile64", 333, 13, true, 6.5f, 64},
-        KernelCase{"lj_nocut_tile4096", 333, 13, false, 0.0f, 4096},
+        KernelCase{"lj_nocut_tile1", 333, 13, 0.0f, 1},
+        KernelCase{"lj_nocut_tile17", 333, 13, 0.0f, 17},
+        KernelCase{"lj_cut_tile64", 333, 13, 6.5f, 64},
+        KernelCase{"lj_nocut_tile4096", 333, 13, 0.0f, 4096},
         // Edge shapes.
-        KernelCase{"sub_lane_receptor", 13, 5, false, 0.0f, 256},
-        KernelCase{"single_atom_ligand", 33, 1, false, 0.0f, 256},
-        KernelCase{"odd_everything", 13, 3, false, 0.0f, 256},
-        KernelCase{"one_full_lane_plus_tail", 17, 1, false, 0.0f, 256},
-        KernelCase{"paper_like_small", 101, 7, false, 0.0f, 256}),
+        KernelCase{"sub_lane_receptor", 13, 5, 0.0f, 256},
+        KernelCase{"single_atom_ligand", 33, 1, 0.0f, 256},
+        KernelCase{"odd_everything", 13, 3, 0.0f, 256},
+        KernelCase{"one_full_lane_plus_tail", 17, 1, 0.0f, 256},
+        KernelCase{"paper_like_small", 101, 7, 0.0f, 256}),
     [](const ::testing::TestParamInfo<KernelCase>& info) { return std::string(info.param.name); });
 
 TEST(BatchScoringEngine, AutoImplResolvesToConcrete) {
